@@ -3,11 +3,9 @@ Wiener phase noise under a peak-power constraint."""
 
 from .bounds import (
     BoundRecord,
-    DualityParams,
     asymptotic_capacity,
     avg_peak_gap,
     d_alpha,
-    g_alpha,
     memoryless_plus_correction,
     nonunitary_bounds,
     upper_bound_U,
@@ -16,13 +14,11 @@ from .bounds import (
 from .channel import (
     ChannelParams,
     Constellation,
-    PhaseTrajectory,
     constellation_by_name,
     load_channel_matrix,
     los_antenna_spacing,
     psk_constellation,
     qam_constellation,
-    sample_lb_input,
     simulate,
     singular_value_bounds,
     wavelength_from_ghz,
@@ -36,17 +32,13 @@ from .entropy import (
 from .inforate import (
     PhaseQuantizer,
     RateEstimate,
-    conditional_phase_entropy,
     qam_rate,
 )
 from .mathcore import (
     Quadrature,
-    WrappedGaussian,
     digamma,
-    log_bessel_i0,
     log_gamma,
     rician_phase_pdf,
-    upper_incomplete_gamma,
     wrapped_gaussian_entropy,
     wrapped_gaussian_pdf,
 )

@@ -16,15 +16,9 @@ from .mathcore import log_gamma, wrapped_gaussian_entropy
 
 LN2 = float(np.log(2.0))
 
-BOUND_KINDS = (
-    "U",
-    "U_s",
-    "asymptotic",
-    "memoryless_plus_corr",
-    "qam_lower",
-    "nonunitary_upper",
-    "nonunitary_lower",
-)
+# Kinds of the records built here; the sweep runner adds qam_lower and the
+# nonunitary kinds on top of them.
+BOUND_KINDS = ("U", "U_s", "asymptotic", "memoryless_plus_corr")
 
 
 def d_alpha(alpha, m):
@@ -32,27 +26,6 @@ def d_alpha(alpha, m):
     if alpha <= 0:
         raise DomainError(f"alpha must be > 0, got {alpha}")
     return log_gamma(alpha) - log_gamma(m) - m + 1.0
-
-
-@dataclass(frozen=True)
-class DualityParams:
-    """Gamma output-distribution parameters of the duality step."""
-
-    alpha: float
-    m: int
-    snr: float
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise DomainError(f"alpha must be > 0, got {self.alpha}")
-
-    @property
-    def beta(self):
-        return (self.snr + self.m) / self.alpha
-
-    @property
-    def d_alpha(self):
-        return d_alpha(self.alpha, self.m)
 
 
 @dataclass(frozen=True)
@@ -74,31 +47,6 @@ class BoundRecord:
             raise DomainError(f"non-finite bound value for kind {self.kind!r}")
         if self.std_error_bits < 0:
             raise DomainError("std_error_bits must be >= 0")
-
-
-def g_alpha(alpha, xi, params, cond_entropy, expect_log=None, entropy_abs=None):
-    """The amplitude-dependent part of the duality bound, in nats.
-
-    cond_entropy(xi) must return (value_nats, std_error_nats) for the
-    conditional-entropy term; its std error propagates linearly. The two
-    deterministic backends default to the entropy-module quadratures and
-    can be swapped for cross-checking.
-    """
-    if alpha <= 0:
-        raise DomainError(f"alpha must be > 0, got {alpha}")
-    if not 0.0 <= xi <= np.sqrt(params.snr) * (1.0 + 1e-12):
-        raise DomainError(f"xi must lie in [0, sqrt(snr)], got {xi}")
-    expect_log = expect_log_noncentral if expect_log is None else expect_log
-    entropy_abs = entropy_abs_sq if entropy_abs is None else entropy_abs
-    m, rho = params.m, params.snr
-    h_cond, se = cond_entropy(xi)
-    value = (
-        (m - alpha) * expect_log(xi, m)
-        + alpha * (xi**2 + m) / (rho + m)
-        - entropy_abs(xi)
-        - h_cond
-    )
-    return value, se
 
 
 def _golden_min(f, lo, hi, abs_tol, max_iter=400):
@@ -132,24 +80,27 @@ def _golden_min(f, lo, hi, abs_tol, max_iter=400):
 
 
 class _DualityOptimizer:
-    """min over alpha of the duality prefix plus max over xi of g_alpha.
+    """min over alpha of the duality prefix plus max over xi of g(alpha, xi).
 
     All xi-dependent terms (two quadratures and the conditional entropy) are
     cached per xi, so the Monte Carlo noise is frozen over the whole search
     (common random numbers) and the inner max is a well-defined function.
+    `cond_entropy(xi)` returns (value_nats, std_error_nats) of the
+    conditional-entropy term; its std error is the bound's.
     """
 
-    def __init__(self, params, cond_entropy, xi_points=64, xi_tol_rel=1e-6):
-        self.params = params
+    def __init__(self, params, cond_entropy):
         self.cond_entropy = cond_entropy
         self.rho = params.snr
         self.m = params.m
         self.root = np.sqrt(self.rho)
-        self.grid = np.linspace(0.0, self.root, xi_points)
-        self.xi_tol = max(self.root * xi_tol_rel, 1e-12)
+        self.grid = np.linspace(0.0, self.root, 64)
+        self.xi_tol = max(self.root * 1e-6, 1e-12)
         self._terms = {}
 
     def terms(self, xi):
+        """(E log of the squared output norm, h(|xi + z|^2), conditional
+        entropy, its std error), all in nats and cached per xi."""
         xi = float(xi)
         hit = self._terms.get(xi)
         if hit is None:
@@ -164,6 +115,7 @@ class _DualityOptimizer:
         return hit
 
     def g(self, alpha, xi):
+        """The amplitude-dependent part of the duality bound, in nats."""
         e1, e2, hc, _ = self.terms(xi)
         return (
             (self.m - alpha) * e1
@@ -187,18 +139,17 @@ class _DualityOptimizer:
         g_max, _ = self.inner_max(alpha)
         return prefix + LOG_2PI + g_max
 
-    def minimize(self, alpha_bracket=None, alpha_tol=1e-11, scan_points=33):
+    def minimize(self, alpha_bracket=None):
+        """Log-spaced scan of alpha, then golden section around the best."""
         lo, hi = alpha_bracket if alpha_bracket is not None else (1e-3, 10.0 * self.m)
         if not 0 < lo < hi:
             raise DomainError(f"bad alpha bracket ({lo}, {hi})")
-        ts = np.linspace(np.log(lo), np.log(hi), scan_points)
+        ts = np.linspace(np.log(lo), np.log(hi), 33)
         scan = np.array([self.objective(np.exp(t)) for t in ts])
         j = int(np.argmin(scan))
         t_lo = ts[max(j - 1, 0)]
-        t_hi = ts[min(j + 1, scan_points - 1)]
-        t_star, f_star = _golden_min(
-            lambda t: self.objective(np.exp(t)), t_lo, t_hi, alpha_tol
-        )
+        t_hi = ts[min(j + 1, ts.size - 1)]
+        t_star, f_star = _golden_min(lambda t: self.objective(np.exp(t)), t_lo, t_hi, 1e-11)
         if scan[j] < f_star:
             t_star, f_star = ts[j], scan[j]
         alpha_star = float(np.exp(t_star))
@@ -212,107 +163,79 @@ class _DualityOptimizer:
         }
 
 
-def _require_unitary(params):
+def _check_params(params):
     if not params.is_unitary():
         raise DomainError(
-            "this bound assumes a unitary channel matrix; use nonunitary_bounds "
-            "for general full-rank H"
+            "this bound assumes a unitary channel matrix; for general full-rank H "
+            "sweep the nonunitary_upper and nonunitary_lower kinds"
         )
+    if params.sigma_delta <= 0:
+        raise DomainError("the duality bounds require sigma_delta > 0")
+
+
+def _duality_record(params, kind, cond_entropy, alpha_bracket, meta):
+    """Minimize the duality bound and report it in bits."""
+    res = _DualityOptimizer(params, cond_entropy).minimize(alpha_bracket)
+    return BoundRecord(
+        snr_db=params.snr_db,
+        kind=kind,
+        value_bits=res["value_nats"] / LN2,
+        std_error_bits=res["std_error_nats"] / LN2,
+        opt_alpha=res["alpha"],
+        opt_xi=res["xi"],
+        meta=meta,
+    )
 
 
 def upper_bound_U(
     params,
-    quantizer=None,
     q_levels=200,
     block_length=2000,
     n_blocks=4,
     past_window=200,
     seed=0,
-    xi_points=64,
     alpha_bracket=None,
-    alpha_tol=1e-11,
 ):
     """The capacity upper bound with the full-memory conditional entropy.
 
     The predictive-phase ensemble is built once per call (adaptive past
     window) and shared across the whole (alpha, xi) search.
     """
-    _require_unitary(params)
-    if params.sigma_delta <= 0:
-        raise DomainError("upper_bound_U requires sigma_delta > 0")
-    if quantizer is None:
-        quantizer = PhaseQuantizer.build(params.sigma_delta, q_levels)
+    _check_params(params)
+    quantizer = PhaseQuantizer.build(params.sigma_delta, q_levels)
     ensemble = adaptive_predictive_ensemble(
         params, quantizer, block_length, n_blocks, seed, past_window
     )
-    opt = _DualityOptimizer(params, ensemble.cond_entropy, xi_points)
-    res = opt.minimize(alpha_bracket, alpha_tol)
-    return BoundRecord(
-        snr_db=params.snr_db,
-        kind="U",
-        value_bits=res["value_nats"] / LN2,
-        std_error_bits=res["std_error_nats"] / LN2,
-        opt_alpha=res["alpha"],
-        opt_xi=res["xi"],
-        meta={
-            "past_window": ensemble.past_window,
-            "n_samples": ensemble.n_samples,
-            "q_levels": quantizer.q_levels,
-            "seed": int(seed),
-        },
-    )
+    meta = {
+        "past_window": ensemble.past_window,
+        "n_samples": ensemble.n_samples,
+        "q_levels": quantizer.q_levels,
+        "seed": int(seed),
+    }
+    return _duality_record(params, "U", ensemble.cond_entropy, alpha_bracket, meta)
 
 
-def upper_bound_Us(
-    params,
-    n_samples=100_000,
-    seed=0,
-    xi_points=64,
-    alpha_bracket=None,
-    alpha_tol=1e-11,
-):
+def upper_bound_Us(params, n_samples=100_000, seed=0, alpha_bracket=None):
     """Simplified upper bound: the memory term is the one-step entropy
     h(Delta + phi_0(xi^2) | |xi + z_0|), no forward recursion involved."""
-    _require_unitary(params)
-    if params.sigma_delta <= 0:
-        raise DomainError("upper_bound_Us requires sigma_delta > 0")
+    _check_params(params)
 
     def cond(xi):
         est = entropy_delta_plus_phase(xi, params.sigma_delta, n_samples, seed)
         return est.value, est.std_error
 
-    opt = _DualityOptimizer(params, cond, xi_points)
-    res = opt.minimize(alpha_bracket, alpha_tol)
-    return BoundRecord(
-        snr_db=params.snr_db,
-        kind="U_s",
-        value_bits=res["value_nats"] / LN2,
-        std_error_bits=res["std_error_nats"] / LN2,
-        opt_alpha=res["alpha"],
-        opt_xi=res["xi"],
-        meta={"n_samples": int(n_samples), "seed": int(seed)},
-    )
+    meta = {"n_samples": int(n_samples), "seed": int(seed)}
+    return _duality_record(params, "U_s", cond, alpha_bracket, meta)
 
 
-def memoryless_plus_correction(
-    params, xi_points=64, alpha_bracket=None, alpha_tol=1e-11
-):
+def memoryless_plus_correction(params, alpha_bracket=None):
     """Memoryless uniform-phase duality bound plus the SNR-independent
     memory correction log(2pi) - h(Delta). Fully deterministic."""
-    _require_unitary(params)
-    if params.sigma_delta <= 0:
-        raise DomainError("memoryless_plus_correction requires sigma_delta > 0")
+    _check_params(params)
     h_delta = wrapped_gaussian_entropy(params.sigma_delta)
-    opt = _DualityOptimizer(params, lambda xi: (h_delta, 0.0), xi_points)
-    res = opt.minimize(alpha_bracket, alpha_tol)
-    return BoundRecord(
-        snr_db=params.snr_db,
-        kind="memoryless_plus_corr",
-        value_bits=res["value_nats"] / LN2,
-        std_error_bits=0.0,
-        opt_alpha=res["alpha"],
-        opt_xi=res["xi"],
-        meta={"h_delta_nats": h_delta},
+    meta = {"h_delta_nats": h_delta}
+    return _duality_record(
+        params, "memoryless_plus_corr", lambda xi: (h_delta, 0.0), alpha_bracket, meta
     )
 
 

@@ -1,5 +1,5 @@
 """MIMO Wiener phase-noise channel: parameters, samplers, constellations,
-LoS geometry, and the truncated isotropic input used for diagnostics.
+LoS geometry and channel-matrix IO.
 
 Model: y_k = e^{j theta_k} H x_k + w_k with w_k ~ CN(0, I_M) and theta a
 Wiener phase process with increment std `sigma_delta`, under the per-symbol
@@ -63,32 +63,16 @@ class ChannelParams:
         return 10.0 * np.log10(self.snr)
 
 
-@dataclass(frozen=True)
-class PhaseTrajectory:
-    """A realization of the wrapped Wiener phase process, in [0, 2pi)."""
+def wiener_phase(rng, sigma, n, theta0=None):
+    """One length-n trajectory of the wrapped Wiener phase, in [0, 2pi).
 
-    theta: np.ndarray
-
-    def increments(self):
-        return np.mod(np.diff(self.theta), TWO_PI)
-
-
-def sample_phase_trajectories(sigma_delta, length, count, seed, theta0=None):
-    """Draw `count` stationary trajectories of given length.
-
-    theta0 defaults to uniform on [0, 2pi) (stationary start); passing a
-    float forces a deterministic initial phase (degenerate tests only).
+    Draws the start uniform on [0, 2pi) (stationary start; a float
+    `theta0` forces it instead) and then n - 1 Gaussian increments of std
+    `sigma`, both from the caller's generator `rng`.
     """
-    if length < 1:
-        raise ConfigurationError(f"length must be >= 1, got {length}")
-    rng = np.random.default_rng(seed)
-    if theta0 is None:
-        start = rng.uniform(0.0, TWO_PI, size=count)
-    else:
-        start = np.full(count, float(theta0))
-    steps = sigma_delta * rng.standard_normal((count, length - 1)) if length > 1 else np.empty((count, 0))
-    theta = np.concatenate([start[:, None], start[:, None] + np.cumsum(steps, axis=1)], axis=1)
-    return np.mod(theta, TWO_PI)
+    start = rng.uniform(0.0, TWO_PI) if theta0 is None else float(theta0)
+    steps = sigma * rng.standard_normal(n - 1)
+    return np.mod(start + np.concatenate([[0.0], np.cumsum(steps)]), TWO_PI)
 
 
 def simulate(params, inputs, seed, theta0=None, noise_scale=1.0):
@@ -104,7 +88,7 @@ def simulate(params, inputs, seed, theta0=None, noise_scale=1.0):
 
     Returns
     -------
-    (outputs, trajectory) : ((n, m) complex array, PhaseTrajectory)
+    (outputs, theta) : ((n, m) complex array, (n,) phase trajectory)
     """
     x = np.asarray(inputs, dtype=complex)
     if x.ndim != 2 or x.shape[1] != params.m:
@@ -116,16 +100,11 @@ def simulate(params, inputs, seed, theta0=None, noise_scale=1.0):
         raise PeakPowerError(k, float(power[k]), float(params.snr))
     n = x.shape[0]
     rng = np.random.default_rng(seed)
-    if theta0 is None:
-        start = rng.uniform(0.0, TWO_PI)
-    else:
-        start = float(theta0)
-    steps = params.sigma_delta * rng.standard_normal(n - 1) if n > 1 else np.empty(0)
-    theta = np.mod(np.concatenate([[start], start + np.cumsum(steps)]), TWO_PI)
+    theta = wiener_phase(rng, params.sigma_delta, n, theta0)
     w = sample_circular_gaussian(rng, (n, params.m)) * noise_scale
     hx = x @ params.effective_h().T
     y = np.exp(1j * theta)[:, None] * hx + w
-    return y, PhaseTrajectory(theta)
+    return y, theta
 
 
 @dataclass(frozen=True)
@@ -155,10 +134,6 @@ class Constellation:
     @property
     def order(self):
         return self.symbols.size
-
-    @property
-    def bits_per_symbol(self):
-        return float(np.log2(self.order))
 
     def scaled_symbols(self, snr, m):
         """Per-antenna symbols scaled for an m-antenna vector at peak power snr."""
@@ -221,26 +196,6 @@ def singular_value_bounds(h_matrix):
     if lam_min <= (1e-12) ** 2 * lam_max or lam_min <= 0:
         raise RankError("h_matrix is numerically rank deficient")
     return lam_min, lam_max
-
-
-def sample_lb_input(m, snr, snr0, seed, size=None):
-    """Draw inputs x = sqrt(snr) z from the truncated isotropic density with
-    radial law proportional to r^(2m-2) on [sqrt(snr0/snr), 1].
-
-    Guarantees snr0 <= ||x||^2 <= snr for every draw.
-    """
-    if not 0 < snr0 < snr:
-        raise ConfigurationError(f"need 0 < snr0 < snr, got snr0={snr0}, snr={snr}")
-    n = 1 if size is None else int(size)
-    rng = np.random.default_rng(seed)
-    r_lo = np.sqrt(snr0 / snr)
-    p = 2 * m - 1
-    u = rng.uniform(size=n)
-    radius = (r_lo**p + u * (1.0 - r_lo**p)) ** (1.0 / p)
-    g = sample_circular_gaussian(rng, (n, m))
-    direction = g / np.linalg.norm(g, axis=1, keepdims=True)
-    x = np.sqrt(snr) * radius[:, None] * direction
-    return x[0] if size is None else x
 
 
 def load_channel_matrix(path):

@@ -14,7 +14,9 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,12 +51,10 @@ CSV_COLUMNS = (
     "runtime_s",
 )
 
-VALID_KINDS = bounds_mod.BOUND_KINDS
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parsed sweep configuration; see `canonical_text` for the layout."""
+    """Parsed sweep configuration; `CONFIG_FIELDS` maps the file keys to it."""
 
     antennas: int = 1
     sigma_delta_degrees: float = 6.0
@@ -85,59 +85,46 @@ class ExperimentConfig:
         return float(np.deg2rad(self.sigma_delta_degrees))
 
 
-_SCHEMA = {
-    "channel": {
-        "antennas": int,
-        "sigma_delta_degrees": float,
-        "h_matrix": str,
-    },
-    "sweep": {
-        "start_db": float,
-        "stop_db": float,
-        "step_db": float,
-        "kinds": str,
-    },
-    "mc": {
-        "n_samples": int,
-        "block_length": int,
-        "n_blocks": int,
-        "q_levels": int,
-        "past_window": int,
-        "constellation": str,
-    },
-    "run": {
-        "master_seed": int,
-        "parallelism": int,
-    },
-    "output": {
-        "csv": str,
-        "cache_dir": str,
-    },
-}
+def _parse_kinds(text):
+    kinds = tuple(k.strip() for k in text.split(",") if k.strip())
+    if not kinds:
+        raise UsageError("kinds list is empty")
+    for i, k in enumerate(kinds):
+        if k not in VALID_KINDS:
+            raise UsageError(
+                f"unknown bound kind {k!r}; valid kinds: {', '.join(VALID_KINDS)}"
+            )
+        if k in kinds[:i]:
+            raise UsageError(f"bound kind {k!r} is listed more than once")
+    return kinds
 
-_FIELD_BY_KEY = {
-    ("channel", "antennas"): "antennas",
-    ("channel", "sigma_delta_degrees"): "sigma_delta_degrees",
-    ("channel", "h_matrix"): "h_source",
-    ("sweep", "start_db"): "start_db",
-    ("sweep", "stop_db"): "stop_db",
-    ("sweep", "step_db"): "step_db",
-    ("sweep", "kinds"): "kinds",
-    ("mc", "n_samples"): "n_samples",
-    ("mc", "block_length"): "block_length",
-    ("mc", "n_blocks"): "n_blocks",
-    ("mc", "q_levels"): "q_levels",
-    ("mc", "past_window"): "past_window",
-    ("mc", "constellation"): "constellation",
-    ("run", "master_seed"): "master_seed",
-    ("run", "parallelism"): "parallelism",
-    ("output", "csv"): "csv_path",
-    ("output", "cache_dir"): "cache_dir",
-}
+
+# (section, key, ExperimentConfig field, parser), in canonical order.
+CONFIG_FIELDS = (
+    ("channel", "antennas", "antennas", int),
+    ("channel", "sigma_delta_degrees", "sigma_delta_degrees", float),
+    ("channel", "h_matrix", "h_source", str),
+    ("sweep", "start_db", "start_db", float),
+    ("sweep", "stop_db", "stop_db", float),
+    ("sweep", "step_db", "step_db", float),
+    ("sweep", "kinds", "kinds", _parse_kinds),
+    ("mc", "n_samples", "n_samples", int),
+    ("mc", "block_length", "block_length", int),
+    ("mc", "n_blocks", "n_blocks", int),
+    ("mc", "q_levels", "q_levels", int),
+    ("mc", "past_window", "past_window", int),
+    ("mc", "constellation", "constellation", str),
+    ("run", "master_seed", "master_seed", int),
+    ("run", "parallelism", "parallelism", int),
+    ("output", "csv", "csv_path", str),
+    ("output", "cache_dir", "cache_dir", str),
+)
 
 
 def parse_config(text):
     """Parse config text; raises UsageError with line numbers on bad input."""
+    fields = {(sec, key): (name, parse) for sec, key, name, parse in CONFIG_FIELDS}
+    sections = {sec for sec, _ in fields}
     values = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -146,7 +133,7 @@ def parse_config(text):
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
-            if section not in _SCHEMA:
+            if section not in sections:
                 raise UsageError(f"line {lineno}: unknown section [{section}]")
             continue
         if "=" not in line:
@@ -155,26 +142,13 @@ def parse_config(text):
             raise UsageError(f"line {lineno}: key outside any [section]")
         key, _, val = line.partition("=")
         key = key.strip().lower()
-        val = val.strip()
-        if key not in _SCHEMA[section]:
+        if (section, key) not in fields:
             raise UsageError(f"line {lineno}: unknown key {key!r} in [{section}]")
-        caster = _SCHEMA[section][key]
+        name, parse = fields[(section, key)]
         try:
-            parsed = caster(val)
+            values[name] = parse(val.strip())
         except ValueError as exc:
             raise UsageError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-        values[_FIELD_BY_KEY[(section, key)]] = parsed
-
-    if "kinds" in values:
-        kinds = tuple(k.strip() for k in values["kinds"].split(",") if k.strip())
-        for k in kinds:
-            if k not in VALID_KINDS:
-                raise UsageError(
-                    f"unknown bound kind {k!r}; valid kinds: {', '.join(VALID_KINDS)}"
-                )
-        if not kinds:
-            raise UsageError("kinds list is empty")
-        values["kinds"] = kinds
 
     config = ExperimentConfig(**values)
     if config.antennas < 1:
@@ -196,48 +170,20 @@ def parse_config_file(path):
 
 def canonical_text(config):
     """Canonical config serialization; parse(canonical(parse(s))) == parse(s)."""
-    return (
-        "[channel]\n"
-        f"antennas = {config.antennas}\n"
-        f"sigma_delta_degrees = {config.sigma_delta_degrees!r}\n"
-        f"h_matrix = {config.h_source}\n"
-        "[sweep]\n"
-        f"start_db = {config.start_db!r}\n"
-        f"stop_db = {config.stop_db!r}\n"
-        f"step_db = {config.step_db!r}\n"
-        f"kinds = {', '.join(config.kinds)}\n"
-        "[mc]\n"
-        f"n_samples = {config.n_samples}\n"
-        f"block_length = {config.block_length}\n"
-        f"n_blocks = {config.n_blocks}\n"
-        f"q_levels = {config.q_levels}\n"
-        f"past_window = {config.past_window}\n"
-        f"constellation = {config.constellation}\n"
-        "[run]\n"
-        f"master_seed = {config.master_seed}\n"
-        f"parallelism = {config.parallelism}\n"
-        "[output]\n"
-        f"csv = {config.csv_path}\n"
-        f"cache_dir = {config.cache_dir}\n"
-    )
+    lines, section = [], None
+    for sec, key, name, _ in CONFIG_FIELDS:
+        if sec != section:
+            section = sec
+            lines.append(f"[{sec}]")
+        value = getattr(config, name)
+        lines.append(f"{key} = {', '.join(value) if isinstance(value, tuple) else value}")
+    return "\n".join(lines) + "\n"
 
 
 def derive_seed(master_seed, kind, snr_db):
     """Per-task seed: a pure function of (master_seed, kind, snr_db)."""
     digest = hashlib.sha256(f"{master_seed}|{kind}|{snr_db:.6f}".encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1
-
-
-# Config fields that affect a row, per kind (beyond the common ones).
-_KIND_FIELDS = {
-    "asymptotic": (),
-    "memoryless_plus_corr": (),
-    "U": ("block_length", "n_blocks", "q_levels", "past_window"),
-    "U_s": ("n_samples",),
-    "qam_lower": ("block_length", "n_blocks", "q_levels", "constellation"),
-    "nonunitary_upper": ("block_length", "n_blocks", "q_levels", "past_window"),
-    "nonunitary_lower": ("block_length", "n_blocks", "q_levels", "constellation"),
-}
 
 
 def _h_fingerprint(config):
@@ -256,7 +202,7 @@ def row_cache_key(config, kind, snr_db):
         "h": _h_fingerprint(config),
         "master_seed": config.master_seed,
     }
-    for name in _KIND_FIELDS[kind]:
+    for name in KINDS[kind].fields:
         payload[name] = getattr(config, name)
     blob = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:32]
@@ -276,103 +222,104 @@ def _atomic_write(path, data):
         raise
 
 
+def _record_cells(rec):
+    """(value, std error, opt_alpha, opt_xi, n_samples) of a BoundRecord."""
+    n_samples = rec.meta.get("n_samples", 0)
+    return rec.value_bits, rec.std_error_bits, rec.opt_alpha, rec.opt_xi, n_samples
+
+
+# The bound and rate functions are looked up at call time, so that a patched
+# module attribute is the one a row calls.
+def _asymptotic(params, config, seed):
+    return _record_cells(bounds_mod.asymptotic_capacity(params))
+
+
+def _memoryless_plus_corr(params, config, seed):
+    return _record_cells(bounds_mod.memoryless_plus_correction(params))
+
+
+def _upper_U(params, config, seed):
+    return _record_cells(
+        bounds_mod.upper_bound_U(
+            params,
+            q_levels=config.q_levels,
+            block_length=config.block_length,
+            n_blocks=config.n_blocks,
+            past_window=config.past_window,
+            seed=seed,
+        )
+    )
+
+
+def _upper_Us(params, config, seed):
+    return _record_cells(bounds_mod.upper_bound_Us(params, n_samples=config.n_samples, seed=seed))
+
+
+def _qam_lower(params, config, seed):
+    est = inforate.qam_rate(
+        params,
+        constellation_by_name(config.constellation),
+        inforate.PhaseQuantizer.build(params.sigma_delta, config.q_levels),
+        config.block_length,
+        config.n_blocks,
+        seed,
+    )
+    return est.rate, est.std_error, None, None, config.block_length * config.n_blocks
+
+
+class Kind(NamedTuple):
+    """How the sweep computes one kind of row."""
+
+    fields: tuple  # config fields in the row's cache key, beyond the common ones
+    snr_scale: object  # None, or max/min: the SNR is scaled by that eigenvalue of H^H H
+    compute: object  # (params, config, seed) -> (value, se, opt_alpha, opt_xi, n_samples)
+
+
+_U_FIELDS = ("block_length", "n_blocks", "q_levels", "past_window")
+_QAM_FIELDS = ("block_length", "n_blocks", "q_levels", "constellation")
+
+KINDS = {
+    "U": Kind(_U_FIELDS, None, _upper_U),
+    "U_s": Kind(("n_samples",), None, _upper_Us),
+    "asymptotic": Kind((), None, _asymptotic),
+    "memoryless_plus_corr": Kind((), None, _memoryless_plus_corr),
+    "qam_lower": Kind(_QAM_FIELDS, None, _qam_lower),
+    "nonunitary_upper": Kind(_U_FIELDS, max, _upper_U),
+    "nonunitary_lower": Kind(_QAM_FIELDS, min, _qam_lower),
+}
+VALID_KINDS = tuple(KINDS)
+
+
 def compute_row(config_dict, kind, snr_db):
     """Compute one (kind, snr) row. Top-level so worker processes can run it."""
     config = ExperimentConfig(**config_dict)
+    if kind not in KINDS:
+        raise UsageError(f"unknown kind {kind!r}")
+    spec = KINDS[kind]
     seed = derive_seed(config.master_seed, kind, snr_db)
-    sigma = config.sigma_delta_radians()
     snr = 10.0 ** (snr_db / 10.0)
     started = time.perf_counter()
-
-    def finish(value_bits, std_bits, opt_alpha=None, opt_xi=None, n_samples=0, row_kind=kind):
-        return {
-            "snr_db": float(snr_db),
-            "kind": row_kind,
-            "value_bits": float(value_bits),
-            "std_error_bits": float(std_bits),
-            "opt_alpha": opt_alpha,
-            "opt_xi": opt_xi,
-            "n_samples": int(n_samples),
-            "seed": int(seed),
-            "runtime_s": time.perf_counter() - started,
-        }
-
+    row = {"snr_db": float(snr_db), "kind": kind}
     try:
-        if kind in ("nonunitary_upper", "nonunitary_lower"):
+        if spec.snr_scale is not None:
             h = load_channel_matrix(config.h_source)
-            lam_min, lam_max = singular_value_bounds(h)
-            lam = lam_max if kind == "nonunitary_upper" else lam_min
-            shifted = ChannelParams(config.antennas, sigma, lam * snr)
-            if kind == "nonunitary_upper":
-                rec = bounds_mod.upper_bound_U(
-                    shifted,
-                    q_levels=config.q_levels,
-                    block_length=config.block_length,
-                    n_blocks=config.n_blocks,
-                    past_window=config.past_window,
-                    seed=seed,
-                )
-                return finish(
-                    rec.value_bits, rec.std_error_bits, rec.opt_alpha, rec.opt_xi,
-                    rec.meta.get("n_samples", 0),
-                )
-            quantizer = inforate.PhaseQuantizer.build(sigma, config.q_levels)
-            est = inforate.qam_rate(
-                shifted,
-                constellation_by_name(config.constellation),
-                quantizer,
-                config.block_length,
-                config.n_blocks,
-                seed,
-            )
-            return finish(
-                est.rate, est.std_error, n_samples=config.block_length * config.n_blocks
-            )
-
-        params = ChannelParams(config.antennas, sigma, snr)
-        if kind == "asymptotic":
-            rec = bounds_mod.asymptotic_capacity(params)
-            return finish(rec.value_bits, 0.0)
-        if kind == "memoryless_plus_corr":
-            rec = bounds_mod.memoryless_plus_correction(params)
-            return finish(rec.value_bits, 0.0, rec.opt_alpha, rec.opt_xi)
-        if kind == "U":
-            rec = bounds_mod.upper_bound_U(
-                params,
-                q_levels=config.q_levels,
-                block_length=config.block_length,
-                n_blocks=config.n_blocks,
-                past_window=config.past_window,
-                seed=seed,
-            )
-            return finish(
-                rec.value_bits, rec.std_error_bits, rec.opt_alpha, rec.opt_xi,
-                rec.meta.get("n_samples", 0),
-            )
-        if kind == "U_s":
-            rec = bounds_mod.upper_bound_Us(params, n_samples=config.n_samples, seed=seed)
-            return finish(
-                rec.value_bits, rec.std_error_bits, rec.opt_alpha, rec.opt_xi,
-                config.n_samples,
-            )
-        if kind == "qam_lower":
-            quantizer = inforate.PhaseQuantizer.build(sigma, config.q_levels)
-            est = inforate.qam_rate(
-                params,
-                constellation_by_name(config.constellation),
-                quantizer,
-                config.block_length,
-                config.n_blocks,
-                seed,
-            )
-            return finish(
-                est.rate, est.std_error, n_samples=config.block_length * config.n_blocks
-            )
-        raise UsageError(f"unknown kind {kind!r}")
+            snr = spec.snr_scale(singular_value_bounds(h)) * snr
+        params = ChannelParams(config.antennas, config.sigma_delta_radians(), snr)
+        cells = spec.compute(params, config, seed)
     except (NumericUnderflowError, OptimizationError, FloatingPointError) as exc:
-        row = finish(float("nan"), float("nan"), row_kind="failed")
-        row["error"] = f"{kind}: {type(exc).__name__}: {exc}"
-        return row
+        cells = (float("nan"), float("nan"), None, None, 0)
+        row.update(kind="failed", error=f"{kind}: {type(exc).__name__}: {exc}")
+    value, std, opt_alpha, opt_xi, n_samples = cells
+    row.update(
+        value_bits=float(value),
+        std_error_bits=float(std),
+        opt_alpha=opt_alpha,
+        opt_xi=opt_xi,
+        n_samples=int(n_samples),
+        seed=int(seed),
+        runtime_s=time.perf_counter() - started,
+    )
+    return row
 
 
 def _format_cell(value):
@@ -401,7 +348,8 @@ def run_sweep(config, progress=None):
     """Execute all (kind, snr) work items, reusing cached rows.
 
     Returns (csv_path, failed_count). Rows are cached per config hash in an
-    append-only directory with atomic replacement.
+    append-only directory with atomic replacement, each as soon as it is
+    computed.
     """
     tasks = [(kind, snr) for kind in config.kinds for snr in config.snr_grid_db()]
     cache_dir = config.cache_dir
@@ -420,16 +368,18 @@ def run_sweep(config, progress=None):
 
     config_dict = {f: getattr(config, f) for f in config.__dataclass_fields__}
     workers = config.parallelism if config.parallelism > 0 else (os.cpu_count() or 1)
-    if pending:
+    with ExitStack() as stack:
+        mapper = map
         if workers > 1 and len(pending) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(compute_row, config_dict, kind, snr)
-                    for kind, snr, _ in pending
-                ]
-                fresh = [f.result() for f in futures]
-        else:
-            fresh = [compute_row(config_dict, kind, snr) for kind, snr, _ in pending]
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        # rows arrive lazily and in order: each is cached before the next is
+        # awaited, so a row that raises keeps every row finished before it
+        fresh = mapper(
+            compute_row,
+            [config_dict] * len(pending),
+            [kind for kind, _, _ in pending],
+            [snr for _, snr, _ in pending],
+        )
         for (kind, snr, path), row in zip(pending, fresh):
             _atomic_write(path, json.dumps(row, sort_keys=True))
             rows.append(row)

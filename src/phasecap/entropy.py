@@ -98,8 +98,8 @@ def _circle_grid(n_nodes, n_harmonics):
 
 
 def _conv_entropies(sigma, kappas):
-    """Entropy (nats) of WrappedGaussian(sigma) circularly convolved with a
-    von Mises of concentration kappa, for an array of kappas.
+    """Entropy (nats) of the wrapped Gaussian of std sigma circularly
+    convolved with a von Mises of concentration kappa, for an array of kappas.
 
     Both factor densities are symmetric, so the convolution has the Fourier
     cosine series f(u) = (1/2pi)(1 + 2 sum_k c_k cos(k u)) with
@@ -124,9 +124,9 @@ def entropy_delta_plus_phase(xi, sigma, n_samples=100_000, seed=0):
 
     For each draw r = |xi + z| the conditional law of phi0 given r is von
     Mises with concentration 2 r xi, so the inner entropy is the exact
-    circular convolution of WrappedGaussian(sigma) with that von Mises.
-    It depends on the draw only through kappa = 2 r xi and is evaluated on a
-    257-node kappa table with monotone interpolation.
+    circular convolution of the wrapped Gaussian of std sigma with that von
+    Mises. It depends on the draw only through kappa = 2 r xi and is
+    evaluated on a 257-node kappa table with monotone interpolation.
 
     Returns an `McEstimate` in nats; deterministic given the seed.
     """

@@ -3,9 +3,10 @@
 Two consumers:
   * `qam_rate` — achievable rates of iid per-antenna constellations, via the
     ratio of a conditional and an input-averaged forward pass.
-  * `conditional_phase_entropy` — the full-memory conditional differential
-    entropy term of the capacity upper bound, via a pilot-tracking recursion
-    to the one-step predictive phase density.
+  * `adaptive_predictive_ensemble` — the full-memory conditional
+    differential entropy term of the capacity upper bound
+    (`PredictiveEnsemble.cond_entropy`), via a pilot-tracking recursion to
+    the one-step predictive phase density.
 
 All recursions renormalize the state vector every step and handle the
 likelihoods in the log domain with max subtraction.
@@ -16,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .channel import simulate
-from .entropy import LOG_2PI, McEstimate, sample_circular_gaussian
+from .channel import simulate, wiener_phase
+from .entropy import LOG_2PI, sample_circular_gaussian
 from .errors import ConfigurationError, DomainError, NumericUnderflowError
 from .mathcore import TWO_PI, rician_phase_pdf, wrapped_gaussian_cdf
 
@@ -324,11 +325,7 @@ def build_predictive_ensemble(
 
     for b in range(n_blocks):
         rng = np.random.default_rng([int(seed), b, 0xE])
-        theta = np.mod(
-            rng.uniform(0.0, TWO_PI)
-            + np.concatenate([[0.0], np.cumsum(params.sigma_delta * rng.standard_normal(n - 1))]),
-            TWO_PI,
-        )
+        theta = wiener_phase(rng, params.sigma_delta, n)
         z_pilot = sample_circular_gaussian(rng, n)
         z_test = sample_circular_gaussian(rng, n)
         u = np.mod(theta + np.angle(1.0 + z_pilot / np.sqrt(params.snr)), TWO_PI)
@@ -361,28 +358,21 @@ def build_predictive_ensemble(
 
 
 def adaptive_predictive_ensemble(
-    params,
-    quantizer,
-    block_length=2000,
-    n_blocks=4,
-    seed=0,
-    past_window=200,
-    xi_ref=None,
-    max_doublings=3,
+    params, quantizer, block_length=2000, n_blocks=4, seed=0, past_window=200
 ):
     """Double the past window until the entropy estimate stabilizes.
 
-    The convergence probe is evaluated at `xi_ref` (default sqrt(snr), the
-    most window-sensitive point). Stops once the estimate moves by less than
-    half its std error.
+    The convergence probe is evaluated at xi = sqrt(snr), the most
+    window-sensitive point. Stops once the estimate moves by less than half
+    its std error, after at most three doublings.
     """
-    xi_ref = np.sqrt(params.snr) if xi_ref is None else xi_ref
+    xi_ref = np.sqrt(params.snr)
     window = int(past_window)
     ensemble = build_predictive_ensemble(
         params, quantizer, block_length, n_blocks, seed, window
     )
     value, _ = ensemble.cond_entropy(xi_ref)
-    for _ in range(max_doublings):
+    for _ in range(3):
         window *= 2
         if window >= block_length:
             break
@@ -395,32 +385,3 @@ def adaptive_predictive_ensemble(
         if moved < 0.5 * max(new_se, 1e-12):
             break
     return ensemble
-
-
-def conditional_phase_entropy(
-    xi,
-    params,
-    quantizer,
-    block_length=2000,
-    n_blocks=4,
-    seed=0,
-    past_window=200,
-    adapt_window=True,
-):
-    """h(theta_0 + phi_0(xi^2) | {theta_l + phi_l(snr)}_{l<0}, |xi + z_0|).
-
-    Monte Carlo over simulated pilot pasts with an exact inner conditional
-    density on the quantized grid. Returns nats with a block-level std error.
-    """
-    if not 0.0 <= xi <= np.sqrt(params.snr) * (1.0 + 1e-12):
-        raise DomainError(f"xi must lie in [0, sqrt(snr)], got {xi}")
-    if adapt_window:
-        ensemble = adaptive_predictive_ensemble(
-            params, quantizer, block_length, n_blocks, seed, past_window, xi_ref=xi if xi > 0 else None
-        )
-    else:
-        ensemble = build_predictive_ensemble(
-            params, quantizer, block_length, n_blocks, seed, past_window
-        )
-    value, se = ensemble.cond_entropy(xi)
-    return McEstimate(value, se, ensemble.n_samples, int(seed))

@@ -89,44 +89,6 @@ def wrapped_gaussian_entropy(sigma):
     return DEFAULT_QUADRATURE.integrate(neg_flogf, 0.0, TWO_PI)
 
 
-@dataclass(frozen=True)
-class WrappedGaussian:
-    """Gaussian density wrapped onto [0, 2pi).
-
-    `truncation_order` defaults to the smallest lattice count for which the
-    first omitted term is below 1e-16 of the peak.
-    """
-
-    sigma: float
-    truncation_order: int = 0
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise DomainError(f"sigma must be > 0, got {self.sigma}")
-        if self.truncation_order <= 0:
-            object.__setattr__(
-                self, "truncation_order", wrap_truncation_order(self.sigma)
-            )
-
-    def pdf(self, delta):
-        return wrapped_gaussian_pdf(delta, self.sigma)
-
-    def cdf(self, delta):
-        return wrapped_gaussian_cdf(delta, self.sigma)
-
-    def entropy(self):
-        return wrapped_gaussian_entropy(self.sigma)
-
-
-def log_bessel_i0(kappa):
-    """log I0(kappa) computed in the log domain; safe up to kappa ~ 1e6."""
-    kappa = _as_float_array(kappa)
-    if np.any(kappa < 0):
-        raise DomainError("kappa must be >= 0")
-    out = np.log(special.ive(0, kappa)) + kappa
-    return out if out.ndim else float(out)
-
-
 def log_gamma(x):
     """log Gamma(x) for x > 0."""
     x = _as_float_array(x)
@@ -142,18 +104,6 @@ def digamma(x):
     if np.any(x <= 0):
         raise DomainError("digamma requires x > 0")
     out = special.digamma(x)
-    return out if out.ndim else float(out)
-
-
-def upper_incomplete_gamma(a, x):
-    """Unnormalized upper incomplete gamma Gamma(a, x), a > 0, x >= 0."""
-    a = float(a)
-    x = _as_float_array(x)
-    if a <= 0:
-        raise DomainError("upper_incomplete_gamma requires a > 0")
-    if np.any(x < 0):
-        raise DomainError("upper_incomplete_gamma requires x >= 0")
-    out = special.gammaincc(a, x) * np.exp(special.gammaln(a))
     return out if out.ndim else float(out)
 
 
@@ -232,15 +182,6 @@ class Quadrature:
                 return refined
             result = refined
         return result
-
-    def integrate_semi_infinite(self, f, a):
-        """Integrate vectorized `f` over [a, inf) via t -> a + t/(1-t)."""
-
-        def mapped(t):
-            x = a + t / (1.0 - t)
-            return f(x) / (1.0 - t) ** 2
-
-        return self.integrate(mapped, 0.0, 1.0 - 1e-12)
 
 
 DEFAULT_QUADRATURE = Quadrature()

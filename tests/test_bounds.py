@@ -5,14 +5,12 @@ import pytest
 
 from phasecap.bounds import (
     BoundRecord,
-    DualityParams,
     LN2,
     _DualityOptimizer,
     asymptotic_capacity,
     asymptotic_capacity_nats,
     avg_peak_gap,
     d_alpha,
-    g_alpha,
     memoryless_plus_correction,
     nonunitary_bounds,
     upper_bound_U,
@@ -34,39 +32,39 @@ class TestDualityParams:
         assert d_alpha(1.0, 1) == pytest.approx(0.0, abs=1e-14)
 
     def test_fields_recomputable(self):
-        dp = DualityParams(alpha=0.7, m=2, snr=100.0)
-        assert dp.beta == pytest.approx(102.0 / 0.7, rel=1e-14)
-        assert dp.d_alpha == pytest.approx(
+        assert d_alpha(0.7, 2) == pytest.approx(
             math.lgamma(0.7) - math.lgamma(2.0) - 1.0, abs=1e-12
         )
 
     def test_alpha_positive(self):
         with pytest.raises(DomainError):
-            DualityParams(alpha=0.0, m=1, snr=1.0)
+            d_alpha(0.0, 1)
         with pytest.raises(DomainError):
             d_alpha(-1.0, 1)
 
 
 class TestGAlpha:
+    """The amplitude-dependent part g(alpha, xi) of the duality objective."""
+
     @pytest.mark.parametrize("m", [1, 2])
     def test_trivial_value_at_alpha_m_xi_zero(self, m):
         params = ChannelParams(m, SIGMA_6DEG, 40.0)
-        value, se = g_alpha(float(m), 0.0, params, lambda xi: (LOG_2PI, 0.0))
+        opt = _DualityOptimizer(params, lambda xi: (LOG_2PI, 0.0))
         expected = m * m / (40.0 + m) - 1.0 - LOG_2PI
-        assert value == pytest.approx(expected, abs=1e-9)
-        assert se == 0.0
+        assert opt.g(float(m), 0.0) == pytest.approx(expected, abs=1e-9)
+        assert opt.terms(0.0)[3] == 0.0
 
     def test_linear_shift_in_conditional_term(self):
         params = ChannelParams(1, SIGMA_6DEG, 25.0)
-        base, _ = g_alpha(0.8, 2.0, params, lambda xi: (0.4, 0.0))
-        shifted, _ = g_alpha(0.8, 2.0, params, lambda xi: (0.4 + 0.125, 0.0))
+        base = _DualityOptimizer(params, lambda xi: (0.4, 0.0)).g(0.8, 2.0)
+        shifted = _DualityOptimizer(params, lambda xi: (0.4 + 0.125, 0.0)).g(0.8, 2.0)
         assert base - shifted == pytest.approx(0.125, abs=1e-12)
 
     def test_deterministic_parts_match_direct_reassembly(self):
         m, alpha, rho = 1, 0.5, 100.0
         xi = np.sqrt(rho)
         params = ChannelParams(m, SIGMA_6DEG, rho)
-        value, _ = g_alpha(alpha, xi, params, lambda x: (0.0, 0.0))
+        value = _DualityOptimizer(params, lambda x: (0.0, 0.0)).g(alpha, xi)
         direct = (
             (m - alpha) * expect_log_noncentral(xi, m)
             + alpha * (xi**2 + m) / (rho + m)
@@ -75,11 +73,11 @@ class TestGAlpha:
         assert value == pytest.approx(direct, abs=1e-6)
 
     def test_domain_checks(self):
-        params = ChannelParams(1, SIGMA_6DEG, 4.0)
+        opt = _DualityOptimizer(ChannelParams(1, SIGMA_6DEG, 4.0), lambda x: (0.0, 0.0))
         with pytest.raises(DomainError):
-            g_alpha(-1.0, 0.0, params, lambda x: (0.0, 0.0))
+            opt.minimize(alpha_bracket=(0.0, 1.0))
         with pytest.raises(DomainError):
-            g_alpha(1.0, 3.0, params, lambda x: (0.0, 0.0))
+            opt.minimize(alpha_bracket=(2.0, 1.0))
 
 
 class TestAsymptoticCapacity:
@@ -141,6 +139,37 @@ class TestNonunitaryBounds:
             nonunitary_bounds(lambda s: s, 0.0, 1.0, 10.0)
         with pytest.raises(DomainError):
             nonunitary_bounds(lambda s: s, 2.0, 1.0, 10.0)
+
+
+def gamma_output_excess_bits(m):
+    """Closed-form limit of memoryless_plus_corr - asymptotic: the Gamma-output
+    duality bound at alpha = a = M - 1/2 minus the asymptote, in bits."""
+    a = m - 0.5
+    nats = (
+        -a * math.log(a) + 2 * a + math.lgamma(a) - m + 1 + math.log(2 * math.pi)
+        - 0.5 * math.log(4 * math.pi) - 0.5 + math.log(a) - 0.5 * math.log(math.pi)
+    )
+    return nats / LN2
+
+
+class TestHighSnrExcess:
+    """The README's claim that the Gamma-output bound stays 1.05 (M=1) and
+    1.70 (M=2) bits above the asymptote at high SNR."""
+
+    def test_closed_form_values(self):
+        assert gamma_output_excess_bits(1) == pytest.approx(1.0471, abs=1e-4)
+        assert gamma_output_excess_bits(2) == pytest.approx(1.6973, abs=1e-4)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_numerical_gap_approaches_limit_from_below(self, m):
+        limit = gamma_output_excess_bits(m)
+        gaps = []
+        for snr_db in (40.0, 80.0):
+            params = ChannelParams(m, SIGMA_6DEG, 10 ** (snr_db / 10))
+            mem = memoryless_plus_correction(params).value_bits
+            gaps.append(mem - asymptotic_capacity(params).value_bits)
+        assert gaps[0] < gaps[1] < limit
+        assert limit - gaps[1] < 0.02
 
 
 class TestBoundRecord:
@@ -238,7 +267,7 @@ class TestConstantModulusStructure:
 class TestOptimizerInternals:
     def test_inner_max_at_least_grid_max(self):
         params = ChannelParams(1, SIGMA_6DEG, 50.0)
-        opt = _DualityOptimizer(params, lambda xi: (LOG_2PI, 0.0), xi_points=16)
+        opt = _DualityOptimizer(params, lambda xi: (LOG_2PI, 0.0))
         g_max, xi_star = opt.inner_max(0.9)
         grid_best = max(opt.g(0.9, x) for x in opt.grid)
         assert g_max >= grid_best - 1e-12

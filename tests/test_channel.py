@@ -10,11 +10,10 @@ from phasecap.channel import (
     los_antenna_spacing,
     psk_constellation,
     qam_constellation,
-    sample_lb_input,
-    sample_phase_trajectories,
     simulate,
     singular_value_bounds,
     wavelength_from_ghz,
+    wiener_phase,
 )
 from phasecap.errors import (
     ConfigurationError,
@@ -33,9 +32,9 @@ class TestSimulate:
         h = np.array([[1.0, 0.5j], [0.0, 1.0]])
         p = ChannelParams(2, 0.0, 20.0, h)
         x = np.array([[1.0 + 1j, 0.5], [2.0, 1j]], dtype=complex)
-        y, traj = simulate(p, x, seed=0, theta0=0.0, noise_scale=0.0)
+        y, theta = simulate(p, x, seed=0, theta0=0.0, noise_scale=0.0)
         assert np.allclose(y, x @ h.T)
-        assert np.allclose(traj.theta, 0.0)
+        assert np.allclose(theta, 0.0)
 
     def test_noise_covariance(self):
         m = 3
@@ -59,17 +58,18 @@ class TestSimulate:
         y1, t1 = simulate(p, x, seed=77)
         y2, t2 = simulate(p, x, seed=77)
         assert np.array_equal(y1, y2)
-        assert np.array_equal(t1.theta, t2.theta)
+        assert np.array_equal(t1, t2)
 
     def test_increments_match_wrapped_gaussian(self):
-        theta = sample_phase_trajectories(SIGMA_6DEG, 100_001, 1, seed=5)[0]
+        theta = wiener_phase(np.random.default_rng(5), SIGMA_6DEG, 100_001)
         inc = np.mod(np.diff(theta), TWO_PI)
         res = stats.kstest(inc, lambda d: wrapped_gaussian_cdf(d, SIGMA_6DEG))
         assert res.pvalue > 0.01
 
     def test_stationary_marginal_uniform(self):
         k = 5
-        theta = sample_phase_trajectories(0.8, k + 1, 100_000, seed=9)[:, k]
+        rng = np.random.default_rng(9)
+        theta = [wiener_phase(rng, 0.8, k + 1)[k] for _ in range(100_000)]
         counts, _ = np.histogram(theta, bins=36, range=(0.0, TWO_PI))
         res = stats.chisquare(counts)
         assert res.pvalue > 0.01
@@ -196,39 +196,6 @@ class TestSingularValueBounds:
     def test_rank_error(self):
         with pytest.raises(RankError):
             singular_value_bounds(np.array([[1.0, 2.0], [0.5, 1.0]]))
-
-
-class TestSampleLbInput:
-    def test_support(self):
-        snr, snr0 = 10.0, 2.0
-        x = sample_lb_input(2, snr, snr0, seed=1, size=1_000_000)
-        power = np.sum(np.abs(x) ** 2, axis=1)
-        assert np.all(power <= snr * (1 + 1e-12))
-        assert np.all(power >= snr0 * (1 - 1e-12))
-
-    def test_radial_log_moment(self):
-        # snr0 -> 0, M = 1: E[log ||z||] -> -1/(2M-1) = -1
-        x = sample_lb_input(1, 1.0, 1e-12, seed=2, size=2_000_000)
-        logs = np.log(np.abs(x[:, 0]))
-        se = logs.std() / np.sqrt(logs.size)
-        assert logs.mean() == pytest.approx(-1.0, abs=3 * se)
-
-    def test_radial_log_moment_m2(self):
-        x = sample_lb_input(2, 1.0, 1e-12, seed=3, size=2_000_000)
-        logs = np.log(np.linalg.norm(x, axis=1))
-        se = logs.std() / np.sqrt(logs.size)
-        assert logs.mean() == pytest.approx(-1.0 / 3.0, abs=3 * se)
-
-    def test_direction_isotropy(self):
-        x = sample_lb_input(2, 5.0, 1.0, seed=4, size=500_000)
-        unit = x / np.linalg.norm(x, axis=1, keepdims=True)
-        mean = unit.mean(axis=0)
-        se = 1.0 / np.sqrt(2 * unit.shape[0])
-        assert np.all(np.abs(mean) < 3 * se)
-
-    def test_configuration_error(self):
-        with pytest.raises(ConfigurationError):
-            sample_lb_input(1, 1.0, 2.0, seed=0)
 
 
 class TestLoadChannelMatrix(object):

@@ -15,7 +15,7 @@ from phasecap.cli import (
     row_cache_key,
     run_sweep,
 )
-from phasecap.errors import SchemaError, UsageError
+from phasecap.errors import ConfigurationError, SchemaError, UsageError
 
 BASIC_CONFIG = """
 [channel]
@@ -71,6 +71,10 @@ class TestConfigParsing:
     def test_unknown_kind(self):
         with pytest.raises(UsageError, match="unknown bound kind"):
             parse_config("[sweep]\nkinds = U, nonsense\n")
+
+    def test_repeated_kind(self):
+        with pytest.raises(UsageError, match="'asymptotic' is listed more than once"):
+            parse_config("[sweep]\nkinds = asymptotic, U_s, asymptotic\n")
 
     def test_nonunitary_requires_matrix(self):
         with pytest.raises(UsageError, match="nonunitary"):
@@ -225,6 +229,22 @@ class TestRunSweep:
         cache_file = os.listdir(config.cache_dir)[0]
         stored = json.load(open(os.path.join(config.cache_dir, cache_file)))
         assert "synthetic failure" in stored["error"]
+
+    def test_rows_before_a_raising_row_are_cached(self, tmp_path):
+        # q_levels below 8 makes the qam_lower rows raise; the asymptotic
+        # rows computed before them must already be in the cache
+        config = make_config(
+            tmp_path,
+            kinds=("asymptotic", "qam_lower"),
+            start_db=10.0,
+            stop_db=12.0,
+            step_db=2.0,
+            q_levels=4,
+        )
+        with pytest.raises(ConfigurationError):
+            run_sweep(config)
+        cached = {name[:-len(".json")] for name in os.listdir(config.cache_dir)}
+        assert cached == {row_cache_key(config, "asymptotic", s) for s in (10.0, 12.0)}
 
 
 class TestPlotScript:

@@ -12,8 +12,8 @@ from phasecap.inforate import (
     _input_vectors,
     _mixture_log_rows_dense,
     _mixture_log_rows_separable,
+    adaptive_predictive_ensemble,
     build_predictive_ensemble,
-    conditional_phase_entropy,
     qam_rate,
 )
 from phasecap.mathcore import TWO_PI, rician_phase_pdf, wrapped_gaussian_entropy
@@ -194,19 +194,17 @@ class TestConditionalPhaseEntropy:
     def test_zero_amplitude_uniform(self):
         p = ChannelParams(1, SIGMA_6DEG, 100.0)
         q = PhaseQuantizer.build(SIGMA_6DEG, 100)
-        est = conditional_phase_entropy(
-            0.0, p, q, block_length=300, n_blocks=2, seed=1, adapt_window=False, past_window=100
-        )
-        assert est.value == pytest.approx(LOG_2PI, abs=1e-12)
+        ens = build_predictive_ensemble(p, q, block_length=300, n_blocks=2, seed=1, past_window=100)
+        value, _ = ens.cond_entropy(0.0)
+        assert value == pytest.approx(LOG_2PI, abs=1e-12)
 
     def test_uniform_increment_limit(self):
         p = ChannelParams(1, 10.0, 100.0)
         q = PhaseQuantizer.build(10.0, 100)
-        est = conditional_phase_entropy(
-            5.0, p, q, block_length=300, n_blocks=2, seed=1, adapt_window=False, past_window=100
-        )
+        ens = build_predictive_ensemble(p, q, block_length=300, n_blocks=2, seed=1, past_window=100)
+        value, se = ens.cond_entropy(5.0)
         # the unconditional sum with uniform theta0 is uniform: log(2 pi)
-        assert est.value == pytest.approx(LOG_2PI, abs=3 * est.std_error + 1e-9)
+        assert value == pytest.approx(LOG_2PI, abs=3 * se + 1e-9)
 
     def test_full_past_at_most_one_step_entropy(self):
         # conditioning on the noisy past cannot be more informative than
@@ -254,15 +252,17 @@ class TestConditionalPhaseEntropy:
     def test_bitwise_reproducible(self):
         p = ChannelParams(1, SIGMA_6DEG, 50.0)
         q = PhaseQuantizer.build(SIGMA_6DEG, 100)
-        a = conditional_phase_entropy(3.0, p, q, block_length=400, n_blocks=2, seed=9)
-        b = conditional_phase_entropy(3.0, p, q, block_length=400, n_blocks=2, seed=9)
-        assert a == b
+        a = adaptive_predictive_ensemble(p, q, block_length=400, n_blocks=2, seed=9)
+        b = adaptive_predictive_ensemble(p, q, block_length=400, n_blocks=2, seed=9)
+        assert a.past_window == b.past_window
+        assert a.cond_entropy(3.0) == b.cond_entropy(3.0)
 
     def test_xi_domain(self):
         p = ChannelParams(1, SIGMA_6DEG, 4.0)
         q = PhaseQuantizer.build(SIGMA_6DEG, 64)
+        ens = build_predictive_ensemble(p, q, block_length=200, n_blocks=1, seed=0)
         with pytest.raises(DomainError):
-            conditional_phase_entropy(3.0, p, q, block_length=200, n_blocks=1, seed=0)
+            ens.cond_entropy(-1.0)
 
     def test_short_block_rejected(self):
         p = ChannelParams(1, SIGMA_6DEG, 4.0)
