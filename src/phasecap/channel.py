@@ -111,15 +111,12 @@ def simulate(params, inputs, seed, theta0=None, noise_scale=1.0):
 class Constellation:
     """A finite complex symbol set, one independent symbol per antenna.
 
-    With `normalization="peak"` (default) the per-antenna scale is chosen so
-    the worst-case M-antenna vector meets the peak constraint with equality;
-    "average" instead makes the mean vector power equal to snr, for
-    sensitivity checks.
+    The per-antenna scale is chosen so the worst-case M-antenna vector meets
+    the peak constraint with equality.
     """
 
     name: str
     symbols: np.ndarray
-    normalization: str = "peak"
 
     def __post_init__(self):
         s = np.asarray(self.symbols, dtype=complex).ravel()
@@ -127,48 +124,36 @@ class Constellation:
             raise ConfigurationError("constellation must contain at least one symbol")
         if np.unique(s).size != s.size:
             raise ConfigurationError("constellation symbols must be distinct")
-        if self.normalization not in ("peak", "average"):
-            raise ConfigurationError(f"unknown normalization {self.normalization!r}")
         object.__setattr__(self, "symbols", s)
-
-    @property
-    def order(self):
-        return self.symbols.size
 
     def scaled_symbols(self, snr, m):
         """Per-antenna symbols scaled for an m-antenna vector at peak power snr."""
-        if self.normalization == "peak":
-            ref = np.max(np.abs(self.symbols))
-        else:
-            ref = np.sqrt(np.mean(np.abs(self.symbols) ** 2))
-        return self.symbols * (np.sqrt(snr / m) / ref)
+        return self.symbols * (np.sqrt(snr / m) / np.max(np.abs(self.symbols)))
 
 
-def qam_constellation(order, normalization="peak"):
+def qam_constellation(order):
     """Square QAM with Gray-agnostic natural ordering of the lattice."""
     side = int(round(np.sqrt(order)))
     if side * side != order or order < 4:
         raise ConfigurationError(f"QAM order must be a square >= 4, got {order}")
     levels = np.arange(-(side - 1), side, 2, dtype=float)
     re, im = np.meshgrid(levels, levels)
-    return Constellation(f"QAM-{order}", (re + 1j * im).ravel(), normalization)
+    return Constellation(f"QAM-{order}", (re + 1j * im).ravel())
 
 
-def psk_constellation(order, normalization="peak"):
+def psk_constellation(order):
     if order < 2:
         raise ConfigurationError(f"PSK order must be >= 2, got {order}")
-    return Constellation(
-        f"PSK-{order}", np.exp(2j * np.pi * np.arange(order) / order), normalization
-    )
+    return Constellation(f"PSK-{order}", np.exp(2j * np.pi * np.arange(order) / order))
 
 
-def constellation_by_name(name, normalization="peak"):
+def constellation_by_name(name):
     """Parse labels like "qam64" or "psk8"."""
     label = name.strip().lower().replace("-", "")
     if label.startswith("qam"):
-        return qam_constellation(int(label[3:]), normalization)
+        return qam_constellation(int(label[3:]))
     if label.startswith("psk"):
-        return psk_constellation(int(label[3:]), normalization)
+        return psk_constellation(int(label[3:]))
     raise ConfigurationError(f"unknown constellation {name!r}")
 
 

@@ -13,9 +13,10 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -30,6 +31,7 @@ from .channel import (
     singular_value_bounds,
     wavelength_from_ghz,
 )
+from .entropy import MIN_N_SAMPLES
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -99,21 +101,38 @@ def _parse_kinds(text):
     return kinds
 
 
-# (section, key, ExperimentConfig field, parser), in canonical order.
+def _bounded(parse, low, strict=False):
+    """`parse`, then reject values below `low` (or equal to it, if strict)."""
+    def parse_bounded(text):
+        value = parse(text)
+        if not (value > low if strict else value >= low):
+            raise ValueError(f"must be {'>' if strict else '>='} {low}, got {value}")
+        return value
+
+    return parse_bounded
+
+
+def _parse_constellation(text):
+    constellation_by_name(text)  # raises ValueError for a label it cannot build
+    return text
+
+
+# (section, key, ExperimentConfig field, parser), in canonical order. Each
+# parser rejects what every row using the field would reject.
 CONFIG_FIELDS = (
-    ("channel", "antennas", "antennas", int),
-    ("channel", "sigma_delta_degrees", "sigma_delta_degrees", float),
+    ("channel", "antennas", "antennas", _bounded(int, 1)),
+    ("channel", "sigma_delta_degrees", "sigma_delta_degrees", _bounded(float, 0, strict=True)),
     ("channel", "h_matrix", "h_source", str),
     ("sweep", "start_db", "start_db", float),
     ("sweep", "stop_db", "stop_db", float),
     ("sweep", "step_db", "step_db", float),
     ("sweep", "kinds", "kinds", _parse_kinds),
-    ("mc", "n_samples", "n_samples", int),
-    ("mc", "block_length", "block_length", int),
-    ("mc", "n_blocks", "n_blocks", int),
-    ("mc", "q_levels", "q_levels", int),
+    ("mc", "n_samples", "n_samples", _bounded(int, MIN_N_SAMPLES)),
+    ("mc", "block_length", "block_length", _bounded(int, inforate.MIN_BLOCK_LENGTH)),
+    ("mc", "n_blocks", "n_blocks", _bounded(int, inforate.MIN_N_BLOCKS)),
+    ("mc", "q_levels", "q_levels", _bounded(int, inforate.MIN_Q_LEVELS)),
     ("mc", "past_window", "past_window", int),
-    ("mc", "constellation", "constellation", str),
+    ("mc", "constellation", "constellation", _parse_constellation),
     ("run", "master_seed", "master_seed", int),
     ("run", "parallelism", "parallelism", int),
     ("output", "csv", "csv_path", str),
@@ -151,15 +170,16 @@ def parse_config(text):
             raise UsageError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
 
     config = ExperimentConfig(**values)
-    if config.antennas < 1:
-        raise UsageError("antennas must be >= 1")
-    if config.sigma_delta_degrees <= 0:
-        raise UsageError("sigma_delta_degrees must be > 0")
     if config.stop_db < config.start_db:
         raise UsageError("stop_db must be >= start_db")
-    needs_h = {"nonunitary_upper", "nonunitary_lower"} & set(config.kinds)
-    if needs_h and config.h_source == "unitary":
-        raise UsageError("nonunitary kinds require an h_matrix file in [channel]")
+    config.snr_grid_db()  # raises UsageError for step_db <= 0
+    if any(KINDS[kind].snr_scale is not None for kind in config.kinds):
+        if config.h_source == "unitary":
+            raise UsageError("nonunitary kinds require an h_matrix file in [channel]")
+        h = load_channel_matrix(config.h_source)  # square, or SchemaError
+        if h.shape[0] != config.antennas:
+            raise UsageError(f"h_matrix must be {config.antennas}x{config.antennas}, got {h.shape}")
+        singular_value_bounds(h)  # RankError if H is rank deficient
     return config
 
 
@@ -349,7 +369,8 @@ def run_sweep(config, progress=None):
 
     Returns (csv_path, failed_count). Rows are cached per config hash in an
     append-only directory with atomic replacement, each as soon as it is
-    computed.
+    computed. A row that raises stops no other row: every task runs and is
+    cached, then the first exception is re-raised.
     """
     tasks = [(kind, snr) for kind in config.kinds for snr in config.snr_grid_db()]
     cache_dir = config.cache_dir
@@ -368,23 +389,27 @@ def run_sweep(config, progress=None):
 
     config_dict = {f: getattr(config, f) for f in config.__dataclass_fields__}
     workers = config.parallelism if config.parallelism > 0 else (os.cpu_count() or 1)
+    error = None
     with ExitStack() as stack:
-        mapper = map
         if workers > 1 and len(pending) > 1:
-            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
-        # rows arrive lazily and in order: each is cached before the next is
-        # awaited, so a row that raises keeps every row finished before it
-        fresh = mapper(
-            compute_row,
-            [config_dict] * len(pending),
-            [kind for kind, _, _ in pending],
-            [snr for _, snr, _ in pending],
-        )
-        for (kind, snr, path), row in zip(pending, fresh):
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            futures = {pool.submit(compute_row, config_dict, *task[:2]): task for task in pending}
+            done = ((futures[f], f.result) for f in as_completed(futures))
+        else:
+            # a serial row is computed by result(), after the previous one is cached
+            done = ((task, partial(compute_row, config_dict, *task[:2])) for task in pending)
+        for (kind, snr, path), result in done:
+            try:
+                row = result()
+            except Exception as exc:
+                error = error or exc
+                continue
             _atomic_write(path, json.dumps(row, sort_keys=True))
             rows.append(row)
             if progress is not None:
                 progress(kind, snr, row)
+    if error is not None:
+        raise error
 
     _atomic_write(config.csv_path, rows_to_csv(rows))
     failed = sum(1 for r in rows if r["kind"] == "failed")

@@ -17,6 +17,9 @@ from .mathcore import DEFAULT_QUADRATURE, TWO_PI, digamma
 
 LOG_2PI = float(np.log(TWO_PI))
 
+# Fewest amplitude draws of the one-step entropy; the sweep config is checked against it.
+MIN_N_SAMPLES = 100
+
 
 @dataclass(frozen=True)
 class McEstimate:
@@ -134,8 +137,8 @@ def entropy_delta_plus_phase(xi, sigma, n_samples=100_000, seed=0):
         raise DomainError(f"xi must be >= 0, got {xi}")
     if sigma <= 0:
         raise DomainError(f"sigma must be > 0, got {sigma}")
-    if n_samples < 100:
-        raise ConfigurationError(f"n_samples must be >= 100, got {n_samples}")
+    if n_samples < MIN_N_SAMPLES:
+        raise ConfigurationError(f"n_samples must be >= {MIN_N_SAMPLES}, got {n_samples}")
 
     rng = np.random.default_rng([int(seed), 0x5E1F])
     z = sample_circular_gaussian(rng, n_samples)

@@ -21,7 +21,7 @@ class PeakPowerError(ValueError):
         )
 
 
-class RankError(ValueError):
+class RankError(DomainError):
     """A channel matrix is (numerically) rank deficient."""
 
 

@@ -28,6 +28,11 @@ LOG_PI = float(np.log(np.pi))
 # subset of this size is used and flagged in the estimate metadata.
 MAX_MIXTURE_SIZE = 4096
 
+# Smallest usable phase grid and block budget; the sweep config is checked against them.
+MIN_Q_LEVELS = 8
+MIN_BLOCK_LENGTH = 100
+MIN_N_BLOCKS = 1
+
 
 def _wrap_pm_pi(x):
     return np.mod(x + np.pi, TWO_PI) - np.pi
@@ -49,8 +54,8 @@ class PhaseQuantizer:
         if sigma_delta <= 0:
             raise DomainError(f"sigma_delta must be > 0, got {sigma_delta}")
         q = int(q_levels)
-        if q < 8:
-            raise ConfigurationError(f"q_levels must be >= 8, got {q_levels}")
+        if q < MIN_Q_LEVELS:
+            raise ConfigurationError(f"q_levels must be >= {MIN_Q_LEVELS}, got {q_levels}")
         grid = TWO_PI * np.arange(q) / q
         w = TWO_PI / q
         row = wrapped_gaussian_cdf(grid + 0.5 * w, sigma_delta) - wrapped_gaussian_cdf(
@@ -59,10 +64,6 @@ class PhaseQuantizer:
         row = row / row.sum()
         idx = (np.arange(q)[None, :] - np.arange(q)[:, None]) % q
         return cls(q, float(sigma_delta), grid, row[idx])
-
-    @property
-    def cell_width(self):
-        return TWO_PI / self.q_levels
 
 
 @dataclass(frozen=True)
@@ -75,6 +76,15 @@ class RateEstimate:
     n_blocks: int
     seed: int
     meta: dict = field(default_factory=dict)
+
+
+def _check_blocks(params, quantizer, block_length, n_blocks):
+    if block_length < MIN_BLOCK_LENGTH:
+        raise ConfigurationError(f"block_length must be >= {MIN_BLOCK_LENGTH}, got {block_length}")
+    if n_blocks < MIN_N_BLOCKS:
+        raise ConfigurationError(f"n_blocks must be >= {MIN_N_BLOCKS}, got {n_blocks}")
+    if abs(quantizer.sigma_delta - params.sigma_delta) > 1e-12 * max(1.0, params.sigma_delta):
+        raise ConfigurationError("quantizer was built for a different sigma_delta than the channel")
 
 
 def _forward_loglik(transition, log_rows):
@@ -104,12 +114,6 @@ def _forward_loglik(transition, log_rows):
     return total
 
 
-def _logsumexp(a, axis):
-    peak = np.max(a, axis=axis, keepdims=True)
-    out = np.log(np.sum(np.exp(a - peak), axis=axis)) + np.squeeze(peak, axis=axis)
-    return out
-
-
 def _conditional_log_rows(y, x, h, grid, m):
     """log p(y_k | theta_q, x_k) for the transmitted symbols, shape (n, Q).
 
@@ -122,28 +126,36 @@ def _conditional_log_rows(y, x, h, grid, m):
     return 2.0 * re + const[:, None]
 
 
+def _add_mixture_logsumexp(rows, b, hsq, grid):
+    """rows[k, q] += log sum_s exp(2 Re(e^{j grid_q} b[k, s]) - hsq[s]), in place.
+
+    `b` is (n, S) and `hsq` is (S,); the (n, Q, S) exponent is formed in
+    chunks of rows to bound memory, and reduced with max subtraction.
+    """
+    n = b.shape[0]
+    cos_g, sin_g = np.cos(grid), np.sin(grid)
+    chunk = max(1, int(4_000_000 // (grid.size * b.shape[1])))
+    for k0 in range(0, n, chunk):
+        k1 = min(n, k0 + chunk)
+        re = (
+            cos_g[None, :, None] * b.real[k0:k1, None, :]
+            - sin_g[None, :, None] * b.imag[k0:k1, None, :]
+        )
+        exponent = 2.0 * re - hsq[None, None, :]
+        peak = np.max(exponent, axis=2, keepdims=True)
+        rows[k0:k1] += np.log(np.sum(np.exp(exponent - peak), axis=2)) + np.squeeze(peak, axis=2)
+
+
 def _mixture_log_rows_separable(y, symbols, h_diag, grid, m):
     """Input-averaged log-likelihood rows when H is diagonal.
 
     The average over the full |X|^m product set factorizes exactly into a
     product of per-antenna sums.
     """
-    n = y.shape[0]
-    cos_g, sin_g = np.cos(grid), np.sin(grid)
-    rows = np.zeros((n, grid.size))
+    rows = np.zeros((y.shape[0], grid.size))
     for i in range(m):
         hs = h_diag[i] * symbols
-        hsq = np.abs(hs) ** 2
-        b = np.conj(y[:, i])[:, None] * hs[None, :]
-        # (n, Q, S) in chunks
-        chunk = max(1, int(4_000_000 // (grid.size * symbols.size)))
-        for k0 in range(0, n, chunk):
-            k1 = min(n, k0 + chunk)
-            re = (
-                cos_g[None, :, None] * b.real[k0:k1, None, :]
-                - sin_g[None, :, None] * b.imag[k0:k1, None, :]
-            )
-            rows[k0:k1] += _logsumexp(2.0 * re - hsq[None, None, :], axis=2)
+        _add_mixture_logsumexp(rows, np.conj(y[:, i])[:, None] * hs[None, :], np.abs(hs) ** 2, grid)
     rows -= m * np.log(symbols.size)
     rows += (-np.sum(np.abs(y) ** 2, axis=1) - m * LOG_PI)[:, None]
     return rows
@@ -152,20 +164,9 @@ def _mixture_log_rows_separable(y, symbols, h_diag, grid, m):
 def _mixture_log_rows_dense(y, vectors, h, grid, m):
     """Input-averaged log-likelihood rows for a general H over an explicit
     input-vector list (exhaustive or subsampled)."""
-    n = y.shape[0]
     hv = vectors @ h.T
-    hsq = np.sum(np.abs(hv) ** 2, axis=1)
-    b = np.conj(y) @ hv.T
-    cos_g, sin_g = np.cos(grid), np.sin(grid)
-    rows = np.empty((n, grid.size))
-    chunk = max(1, int(4_000_000 // (grid.size * hv.shape[0])))
-    for k0 in range(0, n, chunk):
-        k1 = min(n, k0 + chunk)
-        re = (
-            cos_g[None, :, None] * b.real[k0:k1, None, :]
-            - sin_g[None, :, None] * b.imag[k0:k1, None, :]
-        )
-        rows[k0:k1] = _logsumexp(2.0 * re - hsq[None, None, :], axis=2)
+    rows = np.zeros((y.shape[0], grid.size))
+    _add_mixture_logsumexp(rows, np.conj(y) @ hv.T, np.sum(np.abs(hv) ** 2, axis=1), grid)
     rows -= np.log(hv.shape[0])
     rows += (-np.sum(np.abs(y) ** 2, axis=1) - m * LOG_PI)[:, None]
     return rows
@@ -182,32 +183,20 @@ def _input_vectors(symbols, m, rng=None):
 
 
 def qam_rate(
-    params,
-    constellation,
-    quantizer,
-    block_length=2000,
-    n_blocks=4,
-    seed=0,
-    theta0=None,
+    params, constellation, quantizer, block_length=2000, n_blocks=4, seed=0, theta0=None
 ):
     """Achievable rate (bits/channel use) of iid per-antenna signaling.
 
     Estimates (1/n)[log p(y^n | x^n) - log p(y^n)] with two forward passes
     over the quantized phase state, averaged over independent blocks.
     """
-    if block_length < 100:
-        raise ConfigurationError(f"block_length must be >= 100, got {block_length}")
-    if n_blocks < 1:
-        raise ConfigurationError(f"n_blocks must be >= 1, got {n_blocks}")
-    if abs(quantizer.sigma_delta - params.sigma_delta) > 1e-12 * max(1.0, params.sigma_delta):
-        raise ConfigurationError(
-            "quantizer was built for a different sigma_delta than the channel"
-        )
+    _check_blocks(params, quantizer, block_length, n_blocks)
     m = params.m
     h = params.effective_h()
     symbols = constellation.scaled_symbols(params.snr, m)
     diag_h = np.allclose(h, np.diag(np.diagonal(h)), atol=0.0)
-    meta = {}
+    # the number of input vectors the mixture rows average over
+    meta = {"mixture_size": symbols.size**m}
 
     block_rates = np.empty(n_blocks)
     for b in range(n_blocks):
@@ -230,7 +219,7 @@ def qam_rate(
                 symbols, m, np.random.default_rng([int(seed), b, 0xC])
             )
             if subsampled:
-                meta["mixture_subset"] = MAX_MIXTURE_SIZE
+                meta.update(mixture_size=len(vectors), mixture_subset=len(vectors))
             rows = _mixture_log_rows_dense(y, vectors, h, quantizer.grid, m)
         ll_mix = _forward_loglik(quantizer.transition, rows)
         block_rates[b] = (ll_cond - ll_mix) / (block_length * np.log(2.0))
@@ -239,7 +228,6 @@ def qam_rate(
     std_error = (
         float(block_rates.std(ddof=1) / np.sqrt(n_blocks)) if n_blocks > 1 else 0.0
     )
-    meta.setdefault("mixture_size", symbols.size**m if symbols.size**m <= MAX_MIXTURE_SIZE else MAX_MIXTURE_SIZE)
     return RateEstimate(rate, std_error, int(block_length), int(n_blocks), int(seed), meta)
 
 
@@ -307,12 +295,7 @@ def build_predictive_ensemble(
     are accumulated once the past holds at least `past_window` symbols (and
     never fewer than 100, the stationarity burn-in).
     """
-    if block_length < 100:
-        raise ConfigurationError(f"block_length must be >= 100, got {block_length}")
-    if abs(quantizer.sigma_delta - params.sigma_delta) > 1e-12 * max(1.0, params.sigma_delta):
-        raise ConfigurationError(
-            "quantizer was built for a different sigma_delta than the channel"
-        )
+    _check_blocks(params, quantizer, block_length, n_blocks)
     burn = max(100, int(past_window))
     n = max(int(block_length), burn + 64)
     q = quantizer.q_levels

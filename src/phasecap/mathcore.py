@@ -4,7 +4,6 @@ Everything here is a pure function of its arguments. Entropies are in nats;
 angles in radians; densities in 1/radian.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -140,30 +139,32 @@ def rician_phase_pdf(phi, a):
     return out if out.ndim else float(out)
 
 
-@lru_cache(maxsize=None)
-def _panel_nodes(n_panels, a, b, nodes_per_panel=64):
-    """Composite Gauss-Legendre nodes/weights over [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
+# The one Gauss-Legendre rule on [-1, 1]; every quadrature maps it onto its panels.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+
+@lru_cache(maxsize=8)
+def _panel_nodes(n_panels, a, b):
+    """Composite Gauss-Legendre nodes/weights: the rule on n_panels equal panels of [a, b]."""
     edges = np.linspace(a, b, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
+    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
     return nodes, weights
 
 
-@dataclass(frozen=True)
 class Quadrature:
     """Deterministic adaptive composite Gauss-Legendre rule.
 
     A fixed 2048-node rule (32 panels x 64 nodes) is evaluated first;
     panels are doubled only while two successive refinements disagree
-    beyond `rel_tol`.
+    beyond `rel_tol`, up to `max_panels`.
     """
 
-    rel_tol: float = 1e-9
-    base_panels: int = 32
-    max_panels: int = 4096
+    rel_tol = 1e-9
+    base_panels = 32
+    max_panels = 4096
 
     def integrate(self, f, a, b):
         """Integrate vectorized `f` over the finite interval [a, b]."""

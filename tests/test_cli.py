@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 
 import numpy as np
@@ -15,7 +16,7 @@ from phasecap.cli import (
     row_cache_key,
     run_sweep,
 )
-from phasecap.errors import ConfigurationError, SchemaError, UsageError
+from phasecap.errors import ConfigurationError, DomainError, RankError, SchemaError, UsageError
 
 BASIC_CONFIG = """
 [channel]
@@ -79,6 +80,41 @@ class TestConfigParsing:
     def test_nonunitary_requires_matrix(self):
         with pytest.raises(UsageError, match="nonunitary"):
             parse_config("[sweep]\nkinds = nonunitary_upper\n")
+
+    @pytest.mark.parametrize(
+        "key, low", [("q_levels", 8), ("block_length", 100), ("n_blocks", 1), ("n_samples", 100)]
+    )
+    def test_budget_below_minimum(self, key, low):
+        # every row using the field would reject this value at compute time
+        with pytest.raises(UsageError, match=f"line 2: bad value for '{key}': must be >= {low}"):
+            parse_config(f"[mc]\n{key} = {low - 1}\n")
+        assert getattr(parse_config(f"[mc]\n{key} = {low}\n"), key) == low
+
+    def test_nonpositive_step(self):
+        with pytest.raises(UsageError, match="step_db must be > 0"):
+            parse_config("[sweep]\nstep_db = 0\n")
+
+    def test_unknown_constellation(self):
+        with pytest.raises(UsageError, match="unknown constellation 'apsk32'"):
+            parse_config("[mc]\nconstellation = apsk32\n")
+        assert parse_config("[mc]\nconstellation = psk8\n").constellation == "psk8"
+
+    def test_matrix_size_must_match_antennas(self, tmp_path):
+        h_path = tmp_path / "h.txt"
+        h_path.write_text("1 0 0\n0 1 0\n0 0 1\n")
+        text = f"[channel]\nantennas = 2\nh_matrix = {h_path}\n[sweep]\nkinds = nonunitary_upper\n"
+        with pytest.raises(UsageError, match="must be 2x2"):
+            parse_config(text)
+        assert parse_config(text.replace("antennas = 2", "antennas = 3")).antennas == 3
+
+    def test_rank_deficient_matrix(self, tmp_path):
+        h_path = tmp_path / "h.txt"
+        h_path.write_text("1 1\n1 1\n")
+        with pytest.raises(RankError):
+            parse_config(
+                f"[channel]\nantennas = 2\nh_matrix = {h_path}\n"
+                "[sweep]\nkinds = nonunitary_lower\n"
+            )
 
     def test_comments_ignored(self):
         config = parse_config("# top\n[channel]\nantennas = 2  # inline\n")
@@ -247,6 +283,31 @@ class TestRunSweep:
         assert cached == {row_cache_key(config, "asymptotic", s) for s in (10.0, 12.0)}
 
 
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the workers inherit the patched bound only when forked",
+    )
+    def test_parallel_rows_after_a_raising_row_are_cached(self, tmp_path, monkeypatch):
+        from phasecap import bounds as bounds_mod
+
+        def boom(*args, **kwargs):
+            raise DomainError("synthetic domain error")
+
+        monkeypatch.setattr(bounds_mod, "memoryless_plus_correction", boom)
+        config = make_config(
+            tmp_path,
+            kinds=("memoryless_plus_corr", "asymptotic"),
+            start_db=10.0,
+            stop_db=12.0,
+            step_db=2.0,
+            parallelism=2,
+        )
+        with pytest.raises(DomainError, match="synthetic domain error"):
+            run_sweep(config)
+        cached = {name[:-len(".json")] for name in os.listdir(config.cache_dir)}
+        assert cached == {row_cache_key(config, "asymptotic", s) for s in (10.0, 12.0)}
+
+
 class TestPlotScript:
     def make_csv(self, tmp_path, kinds=("U", "qam_lower")):
         path = tmp_path / "r.csv"
@@ -343,6 +404,18 @@ class TestMainEntry:
         assert cli.main(["sweep", str(cfg), "-v"]) == 0
         out = capsys.readouterr().out
         assert "asymptotic" in out and "bits" in out
+
+    def test_rank_deficient_matrix_exit_code(self, tmp_path, capsys):
+        h_path = tmp_path / "h.txt"
+        h_path.write_text("1 1\n1 1\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            BASIC_CONFIG.format(csv=tmp_path / "o.csv", cache=tmp_path / "cc")
+            .replace("antennas = 1", f"antennas = 2\nh_matrix = {h_path}")
+            .replace("kinds = asymptotic", "kinds = nonunitary_upper")
+        )
+        assert cli.main(["sweep", str(cfg)]) == 1
+        assert "rank deficient" in capsys.readouterr().err
 
     def test_usage_error_exit_code(self):
         assert cli.main(["sweep"]) == 1

@@ -7,6 +7,7 @@ from phasecap.channel import ChannelParams, Constellation, psk_constellation, qa
 from phasecap.entropy import LOG_2PI, entropy_delta_plus_phase, sample_circular_gaussian
 from phasecap.errors import ConfigurationError, DomainError, NumericUnderflowError
 from phasecap.inforate import (
+    MAX_MIXTURE_SIZE,
     PhaseQuantizer,
     _forward_loglik,
     _input_vectors,
@@ -133,16 +134,29 @@ class TestQamRate:
             assert abs(vals[1] - vals[0]) < 0.02
 
     def test_separable_equals_dense_enumeration(self):
+        # 700 rows: the dense path (S = 256) runs chunks of at most 325 rows,
+        # the separable path (S = 16 per antenna) one chunk
         q = PhaseQuantizer.build(SIGMA_6DEG, 48)
         symbols = qam_constellation(16).scaled_symbols(30.0, 2)
         rng = np.random.default_rng(0)
-        y = rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2))
+        y = rng.standard_normal((700, 2)) + 1j * rng.standard_normal((700, 2))
         h = np.eye(2, dtype=complex)
         sep = _mixture_log_rows_separable(y, symbols, np.diagonal(h), q.grid, 2)
         vectors, sub = _input_vectors(symbols, 2)
         assert not sub
         dense = _mixture_log_rows_dense(y, vectors, h, q.grid, 2)
         assert np.max(np.abs(sep - dense)) < 1e-10
+
+    def test_mixture_size_is_the_number_summed(self):
+        q = PhaseQuantizer.build(SIGMA_6DEG, 32)
+        qam16 = qam_constellation(16)
+        # diagonal H: the separable rows sum all 16^4 input vectors exactly
+        est = qam_rate(ChannelParams(4, SIGMA_6DEG, 10.0), qam16, q, 100, 1, seed=2)
+        assert est.meta == {"mixture_size": 16**4}
+        # general H: the dense rows sum a seeded subset
+        h = np.kron([[1.0, 1.0], [1.0, -1.0]], [[1.0, 1.0], [1.0, -1.0]]) / 2.0
+        est = qam_rate(ChannelParams(4, SIGMA_6DEG, 10.0, h), qam16, q, 100, 1, seed=2)
+        assert est.meta == {"mixture_size": MAX_MIXTURE_SIZE, "mixture_subset": MAX_MIXTURE_SIZE}
 
     def test_sigma_mismatch_rejected(self):
         p = ChannelParams(1, SIGMA_6DEG, 10.0)

@@ -7,7 +7,6 @@ from phasecap.errors import DomainError
 from phasecap.mathcore import (
     DEFAULT_QUADRATURE,
     TWO_PI,
-    Quadrature,
     digamma,
     log_gamma,
     rician_phase_pdf,
@@ -15,6 +14,7 @@ from phasecap.mathcore import (
     wrapped_gaussian_cdf,
     wrapped_gaussian_entropy,
     wrapped_gaussian_pdf,
+    _panel_nodes,
 )
 
 SIGMA_6DEG = np.deg2rad(6.0)
@@ -181,9 +181,22 @@ class TestQuadrature:
         assert DEFAULT_QUADRATURE.integrate(np.sin, 0.0, np.pi) == pytest.approx(2.0, abs=1e-12)
 
     def test_deterministic(self):
-        q = Quadrature(rel_tol=1e-9)
         f = lambda x: np.exp(-(x**2)) * np.cos(3 * x)
-        assert q.integrate(f, -4, 5) == q.integrate(f, -4, 5)
+        assert DEFAULT_QUADRATURE.integrate(f, -4, 5) == DEFAULT_QUADRATURE.integrate(f, -4, 5)
+
+    def test_one_rule_and_bounded_node_cache(self, monkeypatch):
+        # the Gauss-Legendre rule is built once, not per quadrature, and the
+        # panel-node cache holds a few entries, not one per interval
+        _panel_nodes.cache_clear()
+
+        def no_rebuild(n):
+            raise AssertionError("Gauss-Legendre rule rebuilt")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_rebuild)
+        value = DEFAULT_QUADRATURE.integrate(lambda x: np.exp(-(x**2)), -9.0, 9.0)
+        assert value == pytest.approx(np.sqrt(np.pi), rel=1e-12)
+        maxsize = _panel_nodes.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 16
 
     def test_empty_interval(self):
         with pytest.raises(DomainError):
