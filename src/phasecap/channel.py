@@ -75,7 +75,7 @@ def wiener_phase(rng, sigma, n, theta0=None):
     return np.mod(start + np.concatenate([[0.0], np.cumsum(steps)]), TWO_PI)
 
 
-def simulate(params, inputs, seed, theta0=None, noise_scale=1.0):
+def simulate(params, inputs, seed, theta0=None):
     """Run the channel over a block of input vectors.
 
     Parameters
@@ -83,8 +83,7 @@ def simulate(params, inputs, seed, theta0=None, noise_scale=1.0):
     params : ChannelParams
     inputs : (n, m) complex array; every row must satisfy ||x||^2 <= snr.
     seed : int or sequence of ints for the noise/phase generator.
-    theta0 : optional float to force the initial phase (tests only).
-    noise_scale : multiplies the additive noise (0 disables it; tests only).
+    theta0 : optional float to force the initial phase.
 
     Returns
     -------
@@ -101,7 +100,7 @@ def simulate(params, inputs, seed, theta0=None, noise_scale=1.0):
     n = x.shape[0]
     rng = np.random.default_rng(seed)
     theta = wiener_phase(rng, params.sigma_delta, n, theta0)
-    w = sample_circular_gaussian(rng, (n, params.m)) * noise_scale
+    w = sample_circular_gaussian(rng, (n, params.m))
     hx = x @ params.effective_h().T
     y = np.exp(1j * theta)[:, None] * hx + w
     return y, theta

@@ -224,6 +224,8 @@ def row_cache_key(config, kind, snr_db):
     }
     for name in KINDS[kind].fields:
         payload[name] = getattr(config, name)
+    if KINDS[kind].version:  # version 0 is left out, so those keys predate versioning
+        payload["version"] = KINDS[kind].version
     blob = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:32]
 
@@ -293,6 +295,7 @@ class Kind(NamedTuple):
     fields: tuple  # config fields in the row's cache key, beyond the common ones
     snr_scale: object  # None, or max/min: the SNR is scaled by that eigenvalue of H^H H
     compute: object  # (params, config, seed) -> (value, se, opt_alpha, opt_xi, n_samples)
+    version: int = 0  # numerics version, bumped whenever the kind's rows change
 
 
 _U_FIELDS = ("block_length", "n_blocks", "q_levels", "past_window")
@@ -303,9 +306,9 @@ KINDS = {
     "U_s": Kind(("n_samples",), None, _upper_Us),
     "asymptotic": Kind((), None, _asymptotic),
     "memoryless_plus_corr": Kind((), None, _memoryless_plus_corr),
-    "qam_lower": Kind(_QAM_FIELDS, None, _qam_lower),
+    "qam_lower": Kind(_QAM_FIELDS, None, _qam_lower, version=1),
     "nonunitary_upper": Kind(_U_FIELDS, max, _upper_U),
-    "nonunitary_lower": Kind(_QAM_FIELDS, min, _qam_lower),
+    "nonunitary_lower": Kind(_QAM_FIELDS, min, _qam_lower, version=1),
 }
 VALID_KINDS = tuple(KINDS)
 

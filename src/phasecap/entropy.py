@@ -31,8 +31,6 @@ class McEstimate:
 
     value: float
     std_error: float
-    n_samples: int
-    seed: int
 
 
 def sample_circular_gaussian(rng, size):
@@ -156,4 +154,4 @@ def entropy_delta_plus_phase(xi, sigma, n_samples=100_000, seed=0):
 
     value = float(values.mean())
     std_error = float(values.std(ddof=1) / np.sqrt(n_samples))
-    return McEstimate(value, std_error, int(n_samples), int(seed))
+    return McEstimate(value, std_error)

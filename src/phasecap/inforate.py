@@ -150,12 +150,21 @@ def _mixture_log_rows_separable(y, symbols, h_diag, grid, m):
     """Input-averaged log-likelihood rows when H is diagonal.
 
     The average over the full |X|^m product set factorizes exactly into a
-    product of per-antenna sums.
+    product of per-antenna sums. When the symbols are themselves a product
+    set {a + jb} (square QAM: distinct symbols and #re * #im == #symbols),
+    each per-antenna sum factors once more, because
+    2 Re(e^{j theta} conj(y) h (a + jb)) - |h|^2 (a^2 + b^2) splits into an
+    `a` part and a `jb` part: it is the product of a sum over the real
+    levels and a sum over the imaginary ones.
     """
+    re, im = np.unique(symbols.real), np.unique(symbols.imag)
+    axes = (re + 0j, 1j * im) if re.size * im.size == symbols.size else (symbols,)
     rows = np.zeros((y.shape[0], grid.size))
     for i in range(m):
-        hs = h_diag[i] * symbols
-        _add_mixture_logsumexp(rows, np.conj(y[:, i])[:, None] * hs[None, :], np.abs(hs) ** 2, grid)
+        for axis in axes:
+            hs = h_diag[i] * axis
+            b = np.conj(y[:, i])[:, None] * hs[None, :]
+            _add_mixture_logsumexp(rows, b, np.abs(hs) ** 2, grid)
     rows -= m * np.log(symbols.size)
     rows += (-np.sum(np.abs(y) ** 2, axis=1) - m * LOG_PI)[:, None]
     return rows

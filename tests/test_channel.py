@@ -15,6 +15,7 @@ from phasecap.channel import (
     wavelength_from_ghz,
     wiener_phase,
 )
+from phasecap.entropy import sample_circular_gaussian
 from phasecap.errors import (
     ConfigurationError,
     DomainError,
@@ -32,9 +33,14 @@ class TestSimulate:
         h = np.array([[1.0, 0.5j], [0.0, 1.0]])
         p = ChannelParams(2, 0.0, 20.0, h)
         x = np.array([[1.0 + 1j, 0.5], [2.0, 1j]], dtype=complex)
-        y, theta = simulate(p, x, seed=0, theta0=0.0, noise_scale=0.0)
-        assert np.allclose(y, x @ h.T)
+        y, theta = simulate(p, x, seed=0, theta0=0.0)
         assert np.allclose(theta, 0.0)
+        # with no phase rotation, y - Hx is exactly the noise draw that
+        # follows the phase trajectory on the same seeded generator
+        rng = np.random.default_rng(0)
+        wiener_phase(rng, 0.0, x.shape[0], theta0=0.0)
+        noise = sample_circular_gaussian(rng, x.shape)
+        assert np.allclose(y - x @ h.T, noise, rtol=0.0, atol=1e-12)
 
     def test_noise_covariance(self):
         m = 3

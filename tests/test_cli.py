@@ -282,6 +282,32 @@ class TestRunSweep:
         cached = {name[:-len(".json")] for name in os.listdir(config.cache_dir)}
         assert cached == {row_cache_key(config, "asymptotic", s) for s in (10.0, 12.0)}
 
+    def test_stale_version_misses_the_cache(self, tmp_path, monkeypatch):
+        config = make_config(tmp_path, start_db=10.0, stop_db=10.0)
+        run_sweep(config)
+        # mark the cached version-0 row, so that serving it would show
+        key = row_cache_key(config, "asymptotic", 10.0)
+        stale = os.path.join(config.cache_dir, key + ".json")
+        with open(stale) as fh:
+            row = json.load(fh)
+        with open(stale, "w") as fh:
+            json.dump(dict(row, value_bits=-1.0), fh)
+        path, _ = run_sweep(config)
+        assert open(path).read().splitlines()[1].split(",")[2] == "-1.0"
+
+        bumped = cli.KINDS["asymptotic"]._replace(version=1)
+        monkeypatch.setitem(cli.KINDS, "asymptotic", bumped)
+        path, _ = run_sweep(config)
+        assert float(open(path).read().splitlines()[1].split(",")[2]) == row["value_bits"]
+        assert len(os.listdir(config.cache_dir)) == 2
+
+    def test_version_zero_keys_predate_versioning(self, tmp_path):
+        # the key of the committed acceptance row U at M=1, 10 dB; the
+        # payload of a version-0 kind carries no version field
+        config = make_config(tmp_path, master_seed=20260809)
+        assert cli.KINDS["U"].version == 0
+        assert row_cache_key(config, "U", 10.0) == "5d8e4e5b1050c2ddb2f5003f6f55ce09"
+
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",

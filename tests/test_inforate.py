@@ -3,12 +3,21 @@ import pytest
 from scipy import special
 from scipy.interpolate import PchipInterpolator
 
-from phasecap.channel import ChannelParams, Constellation, psk_constellation, qam_constellation
+from phasecap import inforate
+from phasecap.channel import (
+    ChannelParams,
+    Constellation,
+    psk_constellation,
+    qam_constellation,
+    simulate,
+)
 from phasecap.entropy import LOG_2PI, entropy_delta_plus_phase, sample_circular_gaussian
 from phasecap.errors import ConfigurationError, DomainError, NumericUnderflowError
 from phasecap.inforate import (
     MAX_MIXTURE_SIZE,
+    LOG_PI,
     PhaseQuantizer,
+    _add_mixture_logsumexp,
     _forward_loglik,
     _input_vectors,
     _mixture_log_rows_dense,
@@ -146,6 +155,48 @@ class TestQamRate:
         assert not sub
         dense = _mixture_log_rows_dense(y, vectors, h, q.grid, 2)
         assert np.max(np.abs(sep - dense)) < 1e-10
+
+    @pytest.mark.parametrize("order", [16, 64])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("snr_db", [10.0, 30.0])
+    def test_factored_equals_unfactored_rows(self, order, m, snr_db):
+        p = ChannelParams(m, SIGMA_6DEG, 10.0 ** (snr_db / 10.0))
+        grid = PhaseQuantizer.build(SIGMA_6DEG, 64).grid
+        symbols = qam_constellation(order).scaled_symbols(p.snr, m)
+        x = symbols[np.random.default_rng(order).integers(0, order, size=(400, m))]
+        y, _ = simulate(p, x, seed=[order, m])
+        h_diag = np.array([0.9 * np.exp(0.4j), 1.1 * np.exp(-1.3j)])[:m]
+        factored = _mixture_log_rows_separable(y, symbols, h_diag, grid, m)
+        # the same rows summed over the full symbol set of each antenna
+        rows = np.zeros((y.shape[0], grid.size))
+        for i in range(m):
+            hs = h_diag[i] * symbols
+            b = np.conj(y[:, i])[:, None] * hs[None, :]
+            _add_mixture_logsumexp(rows, b, np.abs(hs) ** 2, grid)
+        rows += (-m * np.log(order) - np.sum(np.abs(y) ** 2, axis=1) - m * LOG_PI)[:, None]
+        assert np.max(np.abs(factored - rows)) < 1e-10
+
+    @pytest.mark.parametrize(
+        "constellation, widths",
+        [
+            (qam_constellation(64), [8, 8, 8, 8]),
+            (psk_constellation(8), [8, 8]),
+            (Constellation("rotated", qam_constellation(16).symbols * np.exp(0.3j)), [16, 16]),
+        ],
+    )
+    def test_square_qam_is_summed_over_its_axes(self, constellation, widths, monkeypatch):
+        seen = []
+
+        def spy(rows, b, hsq, grid):
+            seen.append(b.shape[1])
+            return _add_mixture_logsumexp(rows, b, hsq, grid)
+
+        monkeypatch.setattr(inforate, "_add_mixture_logsumexp", spy)
+        grid = PhaseQuantizer.build(SIGMA_6DEG, 16).grid
+        symbols = constellation.scaled_symbols(100.0, 2)
+        y = np.ones((10, 2), dtype=complex)
+        _mixture_log_rows_separable(y, symbols, np.ones(2, dtype=complex), grid, 2)
+        assert seen == widths
 
     def test_mixture_size_is_the_number_summed(self):
         q = PhaseQuantizer.build(SIGMA_6DEG, 32)
