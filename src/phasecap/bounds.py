@@ -79,14 +79,22 @@ def _golden_min(f, lo, hi, abs_tol, max_iter=400):
     )
 
 
+# Golden tolerance in log alpha, the cap on search rounds, and the gap (nats)
+# under which two lines at alpha* tie.
+ALPHA_TOL, MAX_ROUNDS, XI_TIE_NATS = 1e-11, 8, 1e-9
+
+
 class _DualityOptimizer:
     """min over alpha of the duality prefix plus max over xi of g(alpha, xi).
 
-    All xi-dependent terms (two quadratures and the conditional entropy) are
-    cached per xi, so the Monte Carlo noise is frozen over the whole search
-    (common random numbers) and the inner max is a well-defined function.
-    `cond_entropy(xi)` returns (value_nats, std_error_nats) of the
-    conditional-entropy term; its std error is the bound's.
+    For fixed xi, g is a line in alpha, A - alpha B, with A = m e1 - e2 - h_c
+    and B = e1 - (xi^2 + m) / (rho + m). The terms of each xi (two quadratures
+    and the conditional entropy) are cached, so the Monte Carlo noise is frozen
+    over the whole search (common random numbers). The objective, the prefix
+    plus the max of the lines of every xi so far, is convex in alpha (the
+    prefix has second derivative psi'(alpha) - 1/alpha > 0), so it has one
+    minimum in log alpha. `cond_entropy(xi)` returns (value_nats,
+    std_error_nats) of the conditional-entropy term; its std error is the bound's.
     """
 
     def __init__(self, params, cond_entropy):
@@ -136,31 +144,38 @@ class _DualityOptimizer:
 
     def objective(self, alpha):
         prefix = alpha * np.log((self.rho + self.m) / alpha) + d_alpha(alpha, self.m)
-        g_max, _ = self.inner_max(alpha)
-        return prefix + LOG_2PI + g_max
+        return prefix + LOG_2PI + np.max(self._lines[0] - alpha * self._lines[1])
 
     def minimize(self, alpha_bracket=None):
-        """Log-spaced scan of alpha, then golden section around the best."""
+        """Golden search in log alpha, then xi refined at alpha*, until that adds no xi."""
         lo, hi = alpha_bracket if alpha_bracket is not None else (1e-3, 10.0 * self.m)
         if not 0 < lo < hi:
             raise DomainError(f"bad alpha bracket ({lo}, {hi})")
-        ts = np.linspace(np.log(lo), np.log(hi), 33)
-        scan = np.array([self.objective(np.exp(t)) for t in ts])
-        j = int(np.argmin(scan))
-        t_lo = ts[max(j - 1, 0)]
-        t_hi = ts[min(j + 1, ts.size - 1)]
-        t_star, f_star = _golden_min(lambda t: self.objective(np.exp(t)), t_lo, t_hi, 1e-11)
-        if scan[j] < f_star:
-            t_star, f_star = ts[j], scan[j]
-        alpha_star = float(np.exp(t_star))
-        g_star, xi_star = self.inner_max(alpha_star)
-        se = self.terms(xi_star)[3]
-        return {
-            "value_nats": float(f_star),
-            "std_error_nats": float(se),
-            "alpha": alpha_star,
-            "xi": float(xi_star),
+        t_lo, t_hi = np.log(lo), np.log(hi)
+        for x in self.grid:
+            self.terms(x)
+        for _ in range(MAX_ROUNDS):
+            xi = np.array(list(self._terms))
+            e1, e2, hc, se = np.array(list(self._terms.values())).T
+            self._lines = self.m * e1 - e2 - hc, e1 - (xi * xi + self.m) / (self.rho + self.m)
+            t_star, f_star = _golden_min(lambda t: self.objective(np.exp(t)), t_lo, t_hi, ALPHA_TOL)
+            alpha_star = float(np.exp(t_star))
+            self.inner_max(alpha_star)
+            if len(self._terms) == xi.size:
+                break
+        else:
+            raise OptimizationError(f"xi refinement still adding points after {MAX_ROUNDS} rounds")
+        vals = self._lines[0] - alpha_star * self._lines[1]
+        i = int(np.argmax(vals))
+        # the runner-up: the best line more than one grid step away from xi*
+        j = int(np.argmax(np.where(np.abs(xi - xi[i]) > self.grid[1], vals, -np.inf)))
+        diagnostics = {
+            "xi_evals": xi.size,
+            "alpha_at_edge": bool(min(t_star - t_lo, t_hi - t_star) <= ALPHA_TOL),
+            "xi_tied": bool(vals[i] - vals[j] <= XI_TIE_NATS),
+            "xi_runner_up": float(xi[j]),
         }
+        return float(f_star), float(se[i]), alpha_star, float(xi[i]), diagnostics
 
 
 def _check_params(params):
@@ -175,16 +190,8 @@ def _check_params(params):
 
 def _duality_record(params, kind, cond_entropy, alpha_bracket, meta):
     """Minimize the duality bound and report it in bits."""
-    res = _DualityOptimizer(params, cond_entropy).minimize(alpha_bracket)
-    return BoundRecord(
-        snr_db=params.snr_db,
-        kind=kind,
-        value_bits=res["value_nats"] / LN2,
-        std_error_bits=res["std_error_nats"] / LN2,
-        opt_alpha=res["alpha"],
-        opt_xi=res["xi"],
-        meta=meta,
-    )
+    value, se, alpha, xi, diagnostics = _DualityOptimizer(params, cond_entropy).minimize(alpha_bracket)
+    return BoundRecord(params.snr_db, kind, value / LN2, se / LN2, alpha, xi, {**meta, **diagnostics})
 
 
 def upper_bound_U(
@@ -198,8 +205,9 @@ def upper_bound_U(
 ):
     """The capacity upper bound with the full-memory conditional entropy.
 
-    The predictive-phase ensemble is built once per call (adaptive past
-    window) and shared across the whole (alpha, xi) search.
+    One pilot recursion per call gives the predictive-phase ensemble (each
+    doubled past window is a slice of it), and one envelope pass of the
+    duality optimizer shares it across every xi of the (alpha, xi) search.
     """
     _check_params(params)
     quantizer = PhaseQuantizer.build(params.sigma_delta, q_levels)

@@ -302,12 +302,12 @@ _U_FIELDS = ("block_length", "n_blocks", "q_levels", "past_window")
 _QAM_FIELDS = ("block_length", "n_blocks", "q_levels", "constellation")
 
 KINDS = {
-    "U": Kind(_U_FIELDS, None, _upper_U),
-    "U_s": Kind(("n_samples",), None, _upper_Us),
+    "U": Kind(_U_FIELDS, None, _upper_U, version=1),
+    "U_s": Kind(("n_samples",), None, _upper_Us, version=1),
     "asymptotic": Kind((), None, _asymptotic),
-    "memoryless_plus_corr": Kind((), None, _memoryless_plus_corr),
+    "memoryless_plus_corr": Kind((), None, _memoryless_plus_corr, version=1),
     "qam_lower": Kind(_QAM_FIELDS, None, _qam_lower, version=1),
-    "nonunitary_upper": Kind(_U_FIELDS, max, _upper_U),
+    "nonunitary_upper": Kind(_U_FIELDS, max, _upper_U, version=1),
     "nonunitary_lower": Kind(_QAM_FIELDS, min, _qam_lower, version=1),
 }
 VALID_KINDS = tuple(KINDS)
@@ -371,9 +371,9 @@ def run_sweep(config, progress=None):
     """Execute all (kind, snr) work items, reusing cached rows.
 
     Returns (csv_path, failed_count). Rows are cached per config hash in an
-    append-only directory with atomic replacement, each as soon as it is
-    computed. A row that raises stops no other row: every task runs and is
-    cached, then the first exception is re-raised.
+    append-only directory with atomic replacement, as soon as each is done;
+    a failed row goes to the CSV only. A row that raises stops no other
+    row: every task runs, then the first exception is re-raised.
     """
     tasks = [(kind, snr) for kind in config.kinds for snr in config.snr_grid_db()]
     cache_dir = config.cache_dir
@@ -407,7 +407,8 @@ def run_sweep(config, progress=None):
             except Exception as exc:
                 error = error or exc
                 continue
-            _atomic_write(path, json.dumps(row, sort_keys=True))
+            if row["kind"] != "failed":  # a failed row is not cached, so a rerun retries it
+                _atomic_write(path, json.dumps(row, sort_keys=True))
             rows.append(row)
             if progress is not None:
                 progress(kind, snr, row)

@@ -12,7 +12,7 @@ All recursions renormalize the state vector every step and handle the
 likelihoods in the log domain with max subtraction.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import special
@@ -356,21 +356,31 @@ def adaptive_predictive_ensemble(
 
     The convergence probe is evaluated at xi = sqrt(snr), the most
     window-sensitive point. Stops once the estimate moves by less than half
-    its std error, after at most three doublings.
+    its std error, after at most three doublings. The pilot recursion runs
+    once: a wider window w' drops the first max(100, w') - max(100, w) samples
+    of every block, unless it needs max(100, w') + 64 steps, more than a block has.
     """
+    def build(window):
+        return build_predictive_ensemble(params, quantizer, block_length, n_blocks, seed, window)
+
     xi_ref = np.sqrt(params.snr)
     window = int(past_window)
-    ensemble = build_predictive_ensemble(
-        params, quantizer, block_length, n_blocks, seed, window
-    )
+    ensemble = build(window)
     value, _ = ensemble.cond_entropy(xi_ref)
     for _ in range(3):
         window *= 2
         if window >= block_length:
             break
-        wider = build_predictive_ensemble(
-            params, quantizer, block_length, n_blocks, seed, window
-        )
+        keep = ensemble.n_samples // n_blocks
+        drop = max(100, window) - max(100, ensemble.past_window)
+        if drop + 64 > keep:
+            wider = build(window)
+        else:
+            rows = np.arange(ensemble.n_samples) % keep >= drop
+            arrays = ("predictive", "theta", "z_test", "block_ids")
+            wider = replace(
+                ensemble, past_window=window, **{f: getattr(ensemble, f)[rows] for f in arrays}
+            )
         new_value, new_se = wider.cond_entropy(xi_ref)
         moved = abs(new_value - value)
         ensemble, value = wider, new_value

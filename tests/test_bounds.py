@@ -18,7 +18,7 @@ from phasecap.bounds import (
 )
 from phasecap.channel import ChannelParams
 from phasecap.entropy import LOG_2PI, entropy_abs_sq, expect_log_noncentral
-from phasecap.errors import DomainError
+from phasecap.errors import DomainError, OptimizationError
 from phasecap.mathcore import log_gamma, wrapped_gaussian_entropy
 
 SIGMA_6DEG = np.deg2rad(6.0)
@@ -272,3 +272,87 @@ class TestOptimizerInternals:
         grid_best = max(opt.g(0.9, x) for x in opt.grid)
         assert g_max >= grid_best - 1e-12
         assert 0.0 <= xi_star <= np.sqrt(50.0)
+
+
+@pytest.fixture
+def optimizers(monkeypatch):
+    """Every _DualityOptimizer that minimize runs, and its count of xi evaluations."""
+    seen = []
+    minimize, terms = _DualityOptimizer.minimize, _DualityOptimizer.terms
+
+    def spy_minimize(opt, alpha_bracket=None):
+        seen.append(opt)
+        return minimize(opt, alpha_bracket)
+
+    def spy_terms(opt, xi):
+        # a miss of the per-xi term cache is one xi evaluation
+        opt.misses = getattr(opt, "misses", 0) + (float(xi) not in opt._terms)
+        return terms(opt, xi)
+
+    monkeypatch.setattr(_DualityOptimizer, "minimize", spy_minimize)
+    monkeypatch.setattr(_DualityOptimizer, "terms", spy_terms)
+    return seen
+
+
+DUALITY_ROWS = {
+    "U": lambda p: upper_bound_U(p, q_levels=200, **SMALL_BUDGET),
+    "U_s": lambda p: upper_bound_Us(p, n_samples=30_000, seed=31),
+    "memoryless_plus_corr": memoryless_plus_correction,
+}
+
+
+class TestEnvelopeOptimizer:
+    """One golden search in log alpha over the lines A(xi) - alpha B(xi)."""
+
+    @pytest.mark.parametrize("kind", sorted(DUALITY_ROWS))
+    def test_objective_unimodal_and_minimized(self, kind, optimizers):
+        params = ChannelParams(1, SIGMA_6DEG, 10**1.7)
+        rec = DUALITY_ROWS[kind](params)
+        (opt,) = optimizers
+        alphas = np.exp(np.linspace(np.log(1e-3), np.log(10.0), 400))
+        f = np.array([opt.objective(a) for a in alphas])
+        k = int(np.argmin(f))
+        assert np.all(np.diff(f[: k + 1]) <= 0) and np.all(np.diff(f[k:]) >= 0)
+        # the objective is the prefix plus the max over the lines of every xi
+        xi = np.array(list(opt._terms))
+        e1, e2, hc, _ = np.array(list(opt._terms.values())).T
+        a_line = opt.m * e1 - e2 - hc
+        b_line = e1 - (xi * xi + opt.m) / (opt.rho + opt.m)
+        direct = [
+            a * np.log((opt.rho + opt.m) / a) + d_alpha(a, opt.m) + LOG_2PI
+            + np.max(a_line - a * b_line)
+            for a in alphas
+        ]
+        assert np.allclose(direct, f, rtol=0, atol=1e-12)
+        assert f.min() >= rec.value_bits * LN2 - 1e-12
+        assert rec.meta["xi_evals"] == len(opt._terms) == opt.misses
+
+    def test_memoryless_xi_evaluations(self, optimizers):
+        # the 64-point grid plus one refinement; the per-alpha search took 110
+        memoryless_plus_correction(ChannelParams(1, SIGMA_6DEG, 100.0))
+        assert optimizers[0].misses <= 90
+
+    @pytest.mark.parametrize("m, rho", [(1, 100.0), (2, 10.0)])
+    def test_memoryless_optimum_is_a_tie_of_the_two_end_amplitudes(self, m, rho):
+        # min over alpha of the max of lines sits where the lines of xi = 0
+        # and xi = sqrt(rho) cross, so xi* may be either of them
+        rec = memoryless_plus_correction(ChannelParams(m, SIGMA_6DEG, rho))
+        assert rec.meta["xi_tied"]
+        assert {rec.opt_xi, rec.meta["xi_runner_up"]} == {0.0, float(np.sqrt(rho))}
+        assert not rec.meta["alpha_at_edge"]
+
+    def test_alpha_at_bracket_edge_reported(self):
+        params = ChannelParams(1, SIGMA_6DEG, 100.0)
+        rec = memoryless_plus_correction(params, alpha_bracket=(1e-3, 0.1))
+        assert rec.meta["alpha_at_edge"]
+        assert rec.opt_alpha == pytest.approx(0.1, rel=1e-9)
+        free = memoryless_plus_correction(params)
+        assert free.opt_alpha > 0.1 and free.value_bits < rec.value_bits
+
+    def test_refinement_that_never_settles_raises(self, monkeypatch):
+        # an inner_max that always adds a new xi exhausts the rounds
+        opt = _DualityOptimizer(ChannelParams(1, SIGMA_6DEG, 4.0), lambda xi: (LOG_2PI, 0.0))
+        fresh = iter(np.linspace(0.01, 0.02, 100))
+        monkeypatch.setattr(opt, "inner_max", lambda alpha: opt.terms(next(fresh)))
+        with pytest.raises(OptimizationError):
+            opt.minimize()

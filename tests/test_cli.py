@@ -242,7 +242,8 @@ class TestRunSweep:
         assert lower < upper
         assert float(rows["nonunitary_upper"][0]) == 14.0
 
-    def test_failed_row_recorded(self, tmp_path, monkeypatch):
+    @staticmethod
+    def failing_memoryless_config(tmp_path, monkeypatch):
         from phasecap import bounds as bounds_mod
         from phasecap.errors import NumericUnderflowError
 
@@ -250,7 +251,7 @@ class TestRunSweep:
             raise NumericUnderflowError("synthetic failure")
 
         monkeypatch.setattr(bounds_mod, "memoryless_plus_correction", boom)
-        config = make_config(
+        return make_config(
             tmp_path,
             kinds=("memoryless_plus_corr",),
             start_db=10.0,
@@ -258,13 +259,30 @@ class TestRunSweep:
             step_db=2.0,
             parallelism=1,
         )
-        path, failed = run_sweep(config)
+
+    def test_failed_row_recorded(self, tmp_path, monkeypatch):
+        config = self.failing_memoryless_config(tmp_path, monkeypatch)
+        seen = []
+        path, failed = run_sweep(config, progress=lambda kind, snr, row: seen.append(row))
         assert failed == 1
         rows = open(path).read().splitlines()[1:]
         assert rows[0].split(",")[1] == "failed"
-        cache_file = os.listdir(config.cache_dir)[0]
-        stored = json.load(open(os.path.join(config.cache_dir, cache_file)))
-        assert "synthetic failure" in stored["error"]
+        assert "synthetic failure" in seen[0]["error"]
+        # the failed row is in the CSV but not in the cache
+        assert os.listdir(config.cache_dir) == []
+
+    def test_failed_row_is_retried(self, tmp_path, monkeypatch):
+        config = self.failing_memoryless_config(tmp_path, monkeypatch)
+        assert run_sweep(config)[1] == 1
+        monkeypatch.undo()
+        path, failed = run_sweep(config)
+        assert failed == 0
+        cells = open(path).read().splitlines()[1].split(",")
+        assert cells[1] == "memoryless_plus_corr"
+        assert np.isfinite(float(cells[2]))
+        assert os.listdir(config.cache_dir) == [
+            row_cache_key(config, "memoryless_plus_corr", 10.0) + ".json"
+        ]
 
     def test_rows_before_a_raising_row_are_cached(self, tmp_path):
         # q_levels below 8 makes the qam_lower rows raise; the asymptotic
@@ -302,11 +320,11 @@ class TestRunSweep:
         assert len(os.listdir(config.cache_dir)) == 2
 
     def test_version_zero_keys_predate_versioning(self, tmp_path):
-        # the key of the committed acceptance row U at M=1, 10 dB; the
-        # payload of a version-0 kind carries no version field
+        # the key of the committed acceptance row asymptotic at M=1, 10 dB;
+        # the payload of a version-0 kind carries no version field
         config = make_config(tmp_path, master_seed=20260809)
-        assert cli.KINDS["U"].version == 0
-        assert row_cache_key(config, "U", 10.0) == "5d8e4e5b1050c2ddb2f5003f6f55ce09"
+        assert cli.KINDS["asymptotic"].version == 0
+        assert row_cache_key(config, "asymptotic", 10.0) == "6339bce2175bbf9dd2faedb321e236f3"
 
 
     @pytest.mark.skipif(

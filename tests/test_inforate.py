@@ -144,7 +144,8 @@ class TestQamRate:
 
     def test_separable_equals_dense_enumeration(self):
         # 700 rows: the dense path (S = 256) runs chunks of at most 325 rows,
-        # the separable path (S = 16 per antenna) one chunk
+        # the separable path two 4-wide calls per antenna (the I and Q axes
+        # of 16-QAM), each in one chunk
         q = PhaseQuantizer.build(SIGMA_6DEG, 48)
         symbols = qam_constellation(16).scaled_symbols(30.0, 2)
         rng = np.random.default_rng(0)
@@ -321,6 +322,56 @@ class TestConditionalPhaseEntropy:
         b = adaptive_predictive_ensemble(p, q, block_length=400, n_blocks=2, seed=9)
         assert a.past_window == b.past_window
         assert a.cond_entropy(3.0) == b.cond_entropy(3.0)
+
+    @staticmethod
+    def spy_builds(monkeypatch):
+        windows = []
+        build = inforate.build_predictive_ensemble
+
+        def spy(*args):
+            windows.append(args[-1])
+            return build(*args)
+
+        monkeypatch.setattr(inforate, "build_predictive_ensemble", spy)
+        return windows
+
+    @staticmethod
+    def assert_same_ensemble(a, b):
+        assert a.past_window == b.past_window
+        for name in ("predictive", "theta", "z_test", "block_ids"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+            assert getattr(a, name).dtype == getattr(b, name).dtype, name
+        for xi in (0.0, 2.0, 10.0):
+            assert a.cond_entropy(xi) == b.cond_entropy(xi)
+
+    def test_one_pilot_recursion_at_figure_budgets(self, monkeypatch):
+        # block_length 2000, 4 blocks, 200 levels, window 200: every doubled
+        # window (400, 800, 1600) is a slice of the first recursion
+        p = ChannelParams(1, SIGMA_6DEG, 100.0)
+        q = PhaseQuantizer.build(SIGMA_6DEG, 200)
+        windows = self.spy_builds(monkeypatch)
+        ens = adaptive_predictive_ensemble(p, q, 2000, 4, 11, 200)
+        assert windows == [200]
+        assert ens.past_window >= 400
+        monkeypatch.undo()
+        self.assert_same_ensemble(ens, build_predictive_ensemble(p, q, 2000, 4, 11, ens.past_window))
+
+    def test_trimmed_ensemble_equals_a_fresh_build(self):
+        p = ChannelParams(1, SIGMA_6DEG, 50.0)
+        q = PhaseQuantizer.build(SIGMA_6DEG, 100)
+        ens = adaptive_predictive_ensemble(p, q, 600, 2, 9, 150)
+        assert ens.past_window == 300  # the next doubling, 600, is the whole block
+        self.assert_same_ensemble(ens, build_predictive_ensemble(p, q, 600, 2, 9, 300))
+
+    def test_wider_window_needing_a_longer_recursion_is_rebuilt(self, monkeypatch):
+        # window 140 -> 280 in 300-step blocks: 280 + 64 steps do not fit
+        p = ChannelParams(1, SIGMA_6DEG, 50.0)
+        q = PhaseQuantizer.build(SIGMA_6DEG, 100)
+        windows = self.spy_builds(monkeypatch)
+        ens = adaptive_predictive_ensemble(p, q, 300, 2, 9, 140)
+        assert windows == [140, 280]
+        monkeypatch.undo()
+        self.assert_same_ensemble(ens, build_predictive_ensemble(p, q, 300, 2, 9, 280))
 
     def test_xi_domain(self):
         p = ChannelParams(1, SIGMA_6DEG, 4.0)
