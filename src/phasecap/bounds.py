@@ -72,11 +72,7 @@ def _golden_min(f, lo, hi, abs_tol, max_iter=400):
             best_x, best_f = x1, f1
         if f2 < best_f:
             best_x, best_f = x2, f2
-    raise OptimizationError(
-        f"golden section did not reach tol {abs_tol} in {max_iter} iterations",
-        best_x=best_x,
-        best_value=best_f,
-    )
+    raise OptimizationError(f"golden section did not reach tol {abs_tol} in {max_iter} iterations")
 
 
 # Golden tolerance in log alpha, the cap on search rounds, and the gap (nats)
@@ -179,11 +175,6 @@ class _DualityOptimizer:
 
 
 def _check_params(params):
-    if not params.is_unitary():
-        raise DomainError(
-            "this bound assumes a unitary channel matrix; for general full-rank H "
-            "sweep the nonunitary_upper and nonunitary_lower kinds"
-        )
     if params.sigma_delta <= 0:
         raise DomainError("the duality bounds require sigma_delta > 0")
 

@@ -3,7 +3,10 @@ LoS geometry and channel-matrix IO.
 
 Model: y_k = e^{j theta_k} H x_k + w_k with w_k ~ CN(0, I_M) and theta a
 Wiener phase process with increment std `sigma_delta`, under the per-symbol
-peak constraint ||x_k||^2 <= snr.
+peak constraint ||x_k||^2 <= snr. The package computes with H = I: any
+unitary H (the LoS geometry at spacing sqrt(lambda R / M)) gives the same
+rates, and a general full-rank H enters only through the extreme
+eigenvalues of H^H H, which scale the SNR (`singular_value_bounds`).
 """
 
 from dataclasses import dataclass
@@ -19,16 +22,13 @@ SPEED_OF_LIGHT = 2.99792458e8  # m/s
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Channel parameterization.
-
-    `h_matrix=None` means a unitary channel, taken as the identity without
-    loss of generality. `snr` is the peak power rho in linear scale.
+    """Channel parameterization for H = I, which stands for any unitary H.
+    `snr` is the peak power rho in linear scale.
     """
 
     m: int
     sigma_delta: float
     snr: float
-    h_matrix: np.ndarray | None = None
 
     def __post_init__(self):
         if int(self.m) < 1:
@@ -38,25 +38,6 @@ class ChannelParams:
             raise DomainError(f"sigma_delta must be >= 0, got {self.sigma_delta}")
         if self.snr <= 0:
             raise DomainError(f"snr must be > 0, got {self.snr}")
-        if self.h_matrix is not None:
-            h = np.asarray(self.h_matrix, dtype=complex)
-            if h.shape != (self.m, self.m):
-                raise DomainError(f"h_matrix must be {self.m}x{self.m}, got {h.shape}")
-            s = np.linalg.svd(h, compute_uv=False)
-            if s[-1] <= 1e-12 * s[0]:
-                raise RankError("h_matrix is numerically rank deficient")
-            object.__setattr__(self, "h_matrix", h)
-
-    def effective_h(self):
-        if self.h_matrix is None:
-            return np.eye(self.m, dtype=complex)
-        return self.h_matrix
-
-    def is_unitary(self):
-        if self.h_matrix is None:
-            return True
-        h = self.h_matrix
-        return bool(np.max(np.abs(h.conj().T @ h - np.eye(self.m))) < 1e-9)
 
     @property
     def snr_db(self):
@@ -101,8 +82,7 @@ def simulate(params, inputs, seed, theta0=None):
     rng = np.random.default_rng(seed)
     theta = wiener_phase(rng, params.sigma_delta, n, theta0)
     w = sample_circular_gaussian(rng, (n, params.m))
-    hx = x @ params.effective_h().T
-    y = np.exp(1j * theta)[:, None] * hx + w
+    y = np.exp(1j * theta)[:, None] * x + w
     return y, theta
 
 

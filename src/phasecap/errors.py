@@ -31,12 +31,7 @@ class NumericUnderflowError(ArithmeticError):
 
 
 class OptimizationError(RuntimeError):
-    """A line search failed to converge; carries the best iterate found."""
-
-    def __init__(self, message, best_x=None, best_value=None):
-        self.best_x = best_x
-        self.best_value = best_value
-        super().__init__(message)
+    """A line search failed to converge."""
 
 
 class SchemaError(ValueError):

@@ -24,10 +24,6 @@ from .mathcore import TWO_PI, rician_phase_pdf, wrapped_gaussian_cdf
 
 LOG_PI = float(np.log(np.pi))
 
-# Inputs enumerated exactly up to this mixture size; beyond it a seeded
-# subset of this size is used and flagged in the estimate metadata.
-MAX_MIXTURE_SIZE = 4096
-
 # Smallest usable phase grid and block budget; the sweep config is checked against them.
 MIN_Q_LEVELS = 8
 MIN_BLOCK_LENGTH = 100
@@ -72,9 +68,6 @@ class RateEstimate:
 
     rate: float
     std_error: float
-    block_length: int
-    n_blocks: int
-    seed: int
     meta: dict = field(default_factory=dict)
 
 
@@ -114,14 +107,13 @@ def _forward_loglik(transition, log_rows):
     return total
 
 
-def _conditional_log_rows(y, x, h, grid, m):
+def _conditional_log_rows(y, x, grid, m):
     """log p(y_k | theta_q, x_k) for the transmitted symbols, shape (n, Q).
 
-    Uses ||y - e^{j theta} H x||^2 = ||y||^2 + ||Hx||^2 - 2 Re(e^{j theta} y^H Hx).
+    Uses ||y - e^{j theta} x||^2 = ||y||^2 + ||x||^2 - 2 Re(e^{j theta} y^H x).
     """
-    hx = x @ h.T
-    ip = np.sum(np.conj(y) * hx, axis=1)
-    const = -np.sum(np.abs(y) ** 2, axis=1) - np.sum(np.abs(hx) ** 2, axis=1) - m * LOG_PI
+    ip = np.sum(np.conj(y) * x, axis=1)
+    const = -np.sum(np.abs(y) ** 2, axis=1) - np.sum(np.abs(x) ** 2, axis=1) - m * LOG_PI
     re = np.cos(grid)[None, :] * ip.real[:, None] - np.sin(grid)[None, :] * ip.imag[:, None]
     return 2.0 * re + const[:, None]
 
@@ -146,49 +138,39 @@ def _add_mixture_logsumexp(rows, b, hsq, grid):
         rows[k0:k1] += np.log(np.sum(np.exp(exponent - peak), axis=2)) + np.squeeze(peak, axis=2)
 
 
-def _mixture_log_rows_separable(y, symbols, h_diag, grid, m):
-    """Input-averaged log-likelihood rows when H is diagonal.
+def _mixture_log_rows_separable(y, symbols, grid, m):
+    """Input-averaged log-likelihood rows.
 
-    The average over the full |X|^m product set factorizes exactly into a
-    product of per-antenna sums. When the symbols are themselves a product
-    set {a + jb} (square QAM: distinct symbols and #re * #im == #symbols),
-    each per-antenna sum factors once more, because
-    2 Re(e^{j theta} conj(y) h (a + jb)) - |h|^2 (a^2 + b^2) splits into an
-    `a` part and a `jb` part: it is the product of a sum over the real
-    levels and a sum over the imaginary ones.
+    With H = I the average over the full |X|^m product set factorizes
+    exactly into a product of per-antenna sums. When the symbols are
+    themselves a product set {a + jb} (square QAM: distinct symbols and
+    #re * #im == #symbols), each per-antenna sum factors once more, because
+    2 Re(e^{j theta} conj(y) (a + jb)) - (a^2 + b^2) splits into an `a`
+    part and a `jb` part: it is the product of a sum over the real levels
+    and a sum over the imaginary ones.
     """
     re, im = np.unique(symbols.real), np.unique(symbols.imag)
     axes = (re + 0j, 1j * im) if re.size * im.size == symbols.size else (symbols,)
     rows = np.zeros((y.shape[0], grid.size))
     for i in range(m):
         for axis in axes:
-            hs = h_diag[i] * axis
-            b = np.conj(y[:, i])[:, None] * hs[None, :]
-            _add_mixture_logsumexp(rows, b, np.abs(hs) ** 2, grid)
+            b = np.conj(y[:, i])[:, None] * axis[None, :]
+            _add_mixture_logsumexp(rows, b, np.abs(axis) ** 2, grid)
     rows -= m * np.log(symbols.size)
     rows += (-np.sum(np.abs(y) ** 2, axis=1) - m * LOG_PI)[:, None]
     return rows
 
 
-def _mixture_log_rows_dense(y, vectors, h, grid, m):
-    """Input-averaged log-likelihood rows for a general H over an explicit
-    input-vector list (exhaustive or subsampled)."""
-    hv = vectors @ h.T
+def _mixture_log_rows_dense(y, vectors, grid, m):
+    """Input-averaged log-likelihood rows over an explicit list of input
+    vectors, summed without factoring: the exhaustive reference for
+    `_mixture_log_rows_separable`."""
     rows = np.zeros((y.shape[0], grid.size))
-    _add_mixture_logsumexp(rows, np.conj(y) @ hv.T, np.sum(np.abs(hv) ** 2, axis=1), grid)
-    rows -= np.log(hv.shape[0])
+    hsq = np.sum(np.abs(vectors) ** 2, axis=1)
+    _add_mixture_logsumexp(rows, np.conj(y) @ vectors.T, hsq, grid)
+    rows -= np.log(vectors.shape[0])
     rows += (-np.sum(np.abs(y) ** 2, axis=1) - m * LOG_PI)[:, None]
     return rows
-
-
-def _input_vectors(symbols, m, rng=None):
-    """All m-fold symbol combinations, or a seeded subset above MAX_MIXTURE_SIZE."""
-    total = symbols.size**m
-    if total <= MAX_MIXTURE_SIZE:
-        mesh = np.meshgrid(*([symbols] * m), indexing="ij")
-        return np.stack([g.ravel() for g in mesh], axis=1), False
-    idx = rng.integers(0, symbols.size, size=(MAX_MIXTURE_SIZE, m))
-    return symbols[idx], True
 
 
 def qam_rate(
@@ -201,9 +183,7 @@ def qam_rate(
     """
     _check_blocks(params, quantizer, block_length, n_blocks)
     m = params.m
-    h = params.effective_h()
     symbols = constellation.scaled_symbols(params.snr, m)
-    diag_h = np.allclose(h, np.diag(np.diagonal(h)), atol=0.0)
     # the number of input vectors the mixture rows average over
     meta = {"mixture_size": symbols.size**m}
 
@@ -213,23 +193,14 @@ def qam_rate(
         idx = rng.integers(0, symbols.size, size=(block_length, m))
         x = symbols[idx]
         y, _ = simulate(params, x, seed=[int(seed), b, 0xB], theta0=theta0)
-        cond_rows = _conditional_log_rows(y, x, h, quantizer.grid, m)
+        cond_rows = _conditional_log_rows(y, x, quantizer.grid, m)
         ll_cond = _forward_loglik(quantizer.transition, cond_rows)
         if symbols.size == 1:
             # the input average is over a single vector: the two passes
             # coincide bit-for-bit and the rate is identically zero
             rows = cond_rows
-        elif diag_h:
-            rows = _mixture_log_rows_separable(
-                y, symbols, np.diagonal(h), quantizer.grid, m
-            )
         else:
-            vectors, subsampled = _input_vectors(
-                symbols, m, np.random.default_rng([int(seed), b, 0xC])
-            )
-            if subsampled:
-                meta.update(mixture_size=len(vectors), mixture_subset=len(vectors))
-            rows = _mixture_log_rows_dense(y, vectors, h, quantizer.grid, m)
+            rows = _mixture_log_rows_separable(y, symbols, quantizer.grid, m)
         ll_mix = _forward_loglik(quantizer.transition, rows)
         block_rates[b] = (ll_cond - ll_mix) / (block_length * np.log(2.0))
 
@@ -237,7 +208,7 @@ def qam_rate(
     std_error = (
         float(block_rates.std(ddof=1) / np.sqrt(n_blocks)) if n_blocks > 1 else 0.0
     )
-    return RateEstimate(rate, std_error, int(block_length), int(n_blocks), int(seed), meta)
+    return RateEstimate(rate, std_error, meta)
 
 
 @dataclass(frozen=True)
@@ -250,7 +221,6 @@ class PredictiveEnsemble:
     the amplitude optimization with common random numbers.
     """
 
-    snr: float
     grid: np.ndarray
     predictive: np.ndarray
     theta: np.ndarray
@@ -258,7 +228,6 @@ class PredictiveEnsemble:
     block_ids: np.ndarray
     past_window: int
     n_blocks: int
-    seed: int
 
     @property
     def n_samples(self):
@@ -337,7 +306,6 @@ def build_predictive_ensemble(
         z_out[base : base + keep] = z_test[burn:]
 
     return PredictiveEnsemble(
-        float(params.snr),
         quantizer.grid,
         predictive,
         theta_out,
@@ -345,7 +313,6 @@ def build_predictive_ensemble(
         block_ids,
         int(past_window),
         int(n_blocks),
-        int(seed),
     )
 
 

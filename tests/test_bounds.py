@@ -233,15 +233,6 @@ class TestUpperBounds:
         mem = memoryless_plus_correction(params)
         assert us.value_bits == pytest.approx(mem.value_bits, abs=1e-9)
 
-    def test_nonunitary_matrix_rejected(self):
-        params = ChannelParams(2, SIGMA_6DEG, 10.0, np.diag([1.0, 2.0]))
-        with pytest.raises(DomainError):
-            upper_bound_U(params, **SMALL_BUDGET)
-        with pytest.raises(DomainError):
-            upper_bound_Us(params)
-        with pytest.raises(DomainError):
-            memoryless_plus_correction(params)
-
 
 class TestConstantModulusStructure:
     def test_restricted_duality_bound_tight_above_zero(self):

@@ -30,17 +30,16 @@ SIGMA_6DEG = np.deg2rad(6.0)
 
 class TestSimulate:
     def test_noiseless_degenerate(self):
-        h = np.array([[1.0, 0.5j], [0.0, 1.0]])
-        p = ChannelParams(2, 0.0, 20.0, h)
+        p = ChannelParams(2, 0.0, 20.0)
         x = np.array([[1.0 + 1j, 0.5], [2.0, 1j]], dtype=complex)
         y, theta = simulate(p, x, seed=0, theta0=0.0)
         assert np.allclose(theta, 0.0)
-        # with no phase rotation, y - Hx is exactly the noise draw that
+        # with no phase rotation and H = I, y - x is the noise draw that
         # follows the phase trajectory on the same seeded generator
         rng = np.random.default_rng(0)
         wiener_phase(rng, 0.0, x.shape[0], theta0=0.0)
         noise = sample_circular_gaussian(rng, x.shape)
-        assert np.allclose(y - x @ h.T, noise, rtol=0.0, atol=1e-12)
+        assert np.allclose(y - x, noise, rtol=0.0, atol=1e-12)
 
     def test_noise_covariance(self):
         m = 3
@@ -107,17 +106,6 @@ class TestChannelParams:
             ChannelParams(1, -0.1, 1.0)
         with pytest.raises(DomainError):
             ChannelParams(1, 0.1, 0.0)
-
-    def test_rank_deficient_matrix(self):
-        h = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
-        with pytest.raises(RankError):
-            ChannelParams(2, 0.1, 1.0, h)
-
-    def test_unitary_flag(self):
-        assert ChannelParams(2, 0.1, 1.0).is_unitary()
-        u = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-        assert ChannelParams(2, 0.1, 1.0, u).is_unitary()
-        assert not ChannelParams(2, 0.1, 1.0, np.diag([1.0, 2.0])).is_unitary()
 
 
 class TestConstellation:

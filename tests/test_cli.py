@@ -1,11 +1,19 @@
 import json
 import multiprocessing
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from phasecap import cli
+from phasecap.bounds import upper_bound_U
+from phasecap.channel import (
+    ChannelParams,
+    load_channel_matrix,
+    qam_constellation,
+    singular_value_bounds,
+)
 from phasecap.cli import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -17,6 +25,11 @@ from phasecap.cli import (
     run_sweep,
 )
 from phasecap.errors import ConfigurationError, DomainError, RankError, SchemaError, UsageError
+from phasecap.inforate import PhaseQuantizer, qam_rate
+
+H_EXAMPLE = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs", "h_example.txt"
+)
 
 BASIC_CONFIG = """
 [channel]
@@ -241,6 +254,51 @@ class TestRunSweep:
         lower = float(rows["nonunitary_lower"][2])
         assert lower < upper
         assert float(rows["nonunitary_upper"][0]) == 14.0
+
+    @pytest.mark.parametrize("kind", ["nonunitary_lower", "nonunitary_upper"])
+    def test_nonunitary_row_is_the_unitary_row_at_the_shifted_snr(self, tmp_path, kind):
+        # general H enters only as an SNR scale: lambda_min of H^H H for the
+        # lower bound, lambda_max for the upper, on the H = I channel
+        config = make_config(
+            tmp_path,
+            antennas=2,
+            h_source=H_EXAMPLE,
+            kinds=(kind,),
+            block_length=300,
+            n_blocks=2,
+            q_levels=64,
+            past_window=100,
+            constellation="qam16",
+        )
+        snr_db = 14.0
+        row = cli.compute_row(asdict(config), kind, snr_db)
+        lam_min, lam_max = singular_value_bounds(load_channel_matrix(H_EXAMPLE))
+        assert lam_min < 1.0 < lam_max
+        seed = derive_seed(config.master_seed, kind, snr_db)
+        sigma = config.sigma_delta_radians()
+        snr = 10.0 ** (snr_db / 10.0)
+        if kind == "nonunitary_lower":
+            est = qam_rate(
+                ChannelParams(2, sigma, lam_min * snr),
+                qam_constellation(16),
+                PhaseQuantizer.build(sigma, 64),
+                300,
+                2,
+                seed,
+            )
+            expected = (est.rate, est.std_error, None, None)
+        else:
+            rec = upper_bound_U(
+                ChannelParams(2, sigma, lam_max * snr),
+                q_levels=64,
+                block_length=300,
+                n_blocks=2,
+                past_window=100,
+                seed=seed,
+            )
+            expected = (rec.value_bits, rec.std_error_bits, rec.opt_alpha, rec.opt_xi)
+        assert row["kind"] == kind
+        assert (row["value_bits"], row["std_error_bits"], row["opt_alpha"], row["opt_xi"]) == expected
 
     @staticmethod
     def failing_memoryless_config(tmp_path, monkeypatch):

@@ -14,12 +14,10 @@ from phasecap.channel import (
 from phasecap.entropy import LOG_2PI, entropy_delta_plus_phase, sample_circular_gaussian
 from phasecap.errors import ConfigurationError, DomainError, NumericUnderflowError
 from phasecap.inforate import (
-    MAX_MIXTURE_SIZE,
     LOG_PI,
     PhaseQuantizer,
     _add_mixture_logsumexp,
     _forward_loglik,
-    _input_vectors,
     _mixture_log_rows_dense,
     _mixture_log_rows_separable,
     adaptive_predictive_ensemble,
@@ -150,11 +148,11 @@ class TestQamRate:
         symbols = qam_constellation(16).scaled_symbols(30.0, 2)
         rng = np.random.default_rng(0)
         y = rng.standard_normal((700, 2)) + 1j * rng.standard_normal((700, 2))
-        h = np.eye(2, dtype=complex)
-        sep = _mixture_log_rows_separable(y, symbols, np.diagonal(h), q.grid, 2)
-        vectors, sub = _input_vectors(symbols, 2)
-        assert not sub
-        dense = _mixture_log_rows_dense(y, vectors, h, q.grid, 2)
+        sep = _mixture_log_rows_separable(y, symbols, q.grid, 2)
+        # every one of the 16^2 input vectors, listed explicitly
+        first, second = np.meshgrid(symbols, symbols, indexing="ij")
+        vectors = np.stack([first.ravel(), second.ravel()], axis=1)
+        dense = _mixture_log_rows_dense(y, vectors, q.grid, 2)
         assert np.max(np.abs(sep - dense)) < 1e-10
 
     @pytest.mark.parametrize("order", [16, 64])
@@ -166,14 +164,12 @@ class TestQamRate:
         symbols = qam_constellation(order).scaled_symbols(p.snr, m)
         x = symbols[np.random.default_rng(order).integers(0, order, size=(400, m))]
         y, _ = simulate(p, x, seed=[order, m])
-        h_diag = np.array([0.9 * np.exp(0.4j), 1.1 * np.exp(-1.3j)])[:m]
-        factored = _mixture_log_rows_separable(y, symbols, h_diag, grid, m)
+        factored = _mixture_log_rows_separable(y, symbols, grid, m)
         # the same rows summed over the full symbol set of each antenna
         rows = np.zeros((y.shape[0], grid.size))
         for i in range(m):
-            hs = h_diag[i] * symbols
-            b = np.conj(y[:, i])[:, None] * hs[None, :]
-            _add_mixture_logsumexp(rows, b, np.abs(hs) ** 2, grid)
+            b = np.conj(y[:, i])[:, None] * symbols[None, :]
+            _add_mixture_logsumexp(rows, b, np.abs(symbols) ** 2, grid)
         rows += (-m * np.log(order) - np.sum(np.abs(y) ** 2, axis=1) - m * LOG_PI)[:, None]
         assert np.max(np.abs(factored - rows)) < 1e-10
 
@@ -196,19 +192,15 @@ class TestQamRate:
         grid = PhaseQuantizer.build(SIGMA_6DEG, 16).grid
         symbols = constellation.scaled_symbols(100.0, 2)
         y = np.ones((10, 2), dtype=complex)
-        _mixture_log_rows_separable(y, symbols, np.ones(2, dtype=complex), grid, 2)
+        _mixture_log_rows_separable(y, symbols, grid, 2)
         assert seen == widths
 
     def test_mixture_size_is_the_number_summed(self):
         q = PhaseQuantizer.build(SIGMA_6DEG, 32)
         qam16 = qam_constellation(16)
-        # diagonal H: the separable rows sum all 16^4 input vectors exactly
+        # the separable rows sum all 16^4 input vectors exactly
         est = qam_rate(ChannelParams(4, SIGMA_6DEG, 10.0), qam16, q, 100, 1, seed=2)
         assert est.meta == {"mixture_size": 16**4}
-        # general H: the dense rows sum a seeded subset
-        h = np.kron([[1.0, 1.0], [1.0, -1.0]], [[1.0, 1.0], [1.0, -1.0]]) / 2.0
-        est = qam_rate(ChannelParams(4, SIGMA_6DEG, 10.0, h), qam16, q, 100, 1, seed=2)
-        assert est.meta == {"mixture_size": MAX_MIXTURE_SIZE, "mixture_subset": MAX_MIXTURE_SIZE}
 
     def test_sigma_mismatch_rejected(self):
         p = ChannelParams(1, SIGMA_6DEG, 10.0)
