@@ -24,7 +24,6 @@ from .channel import (
     wavelength_from_ghz,
 )
 from .entropy import (
-    McEstimate,
     entropy_abs_sq,
     entropy_delta_plus_phase,
     expect_log_noncentral,

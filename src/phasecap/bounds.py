@@ -30,9 +30,8 @@ def d_alpha(alpha, m):
 
 @dataclass(frozen=True)
 class BoundRecord:
-    """One (SNR, bound kind) result row."""
+    """One bound result row."""
 
-    snr_db: float
     kind: str
     value_bits: float
     std_error_bits: float = 0.0
@@ -78,6 +77,8 @@ def _golden_min(f, lo, hi, abs_tol, max_iter=400):
 # Golden tolerance in log alpha, the cap on search rounds, and the gap (nats)
 # under which two lines at alpha* tie.
 ALPHA_TOL, MAX_ROUNDS, XI_TIE_NATS = 1e-11, 8, 1e-9
+# The alpha bracket of the search: [ALPHA_MIN, ALPHA_MAX_PER_ANTENNA * m].
+ALPHA_MIN, ALPHA_MAX_PER_ANTENNA = 1e-3, 10.0
 
 
 class _DualityOptimizer:
@@ -142,12 +143,9 @@ class _DualityOptimizer:
         prefix = alpha * np.log((self.rho + self.m) / alpha) + d_alpha(alpha, self.m)
         return prefix + LOG_2PI + np.max(self._lines[0] - alpha * self._lines[1])
 
-    def minimize(self, alpha_bracket=None):
+    def minimize(self):
         """Golden search in log alpha, then xi refined at alpha*, until that adds no xi."""
-        lo, hi = alpha_bracket if alpha_bracket is not None else (1e-3, 10.0 * self.m)
-        if not 0 < lo < hi:
-            raise DomainError(f"bad alpha bracket ({lo}, {hi})")
-        t_lo, t_hi = np.log(lo), np.log(hi)
+        t_lo, t_hi = np.log(ALPHA_MIN), np.log(ALPHA_MAX_PER_ANTENNA * self.m)
         for x in self.grid:
             self.terms(x)
         for _ in range(MAX_ROUNDS):
@@ -179,10 +177,10 @@ def _check_params(params):
         raise DomainError("the duality bounds require sigma_delta > 0")
 
 
-def _duality_record(params, kind, cond_entropy, alpha_bracket, meta):
+def _duality_record(params, kind, cond_entropy, meta):
     """Minimize the duality bound and report it in bits."""
-    value, se, alpha, xi, diagnostics = _DualityOptimizer(params, cond_entropy).minimize(alpha_bracket)
-    return BoundRecord(params.snr_db, kind, value / LN2, se / LN2, alpha, xi, {**meta, **diagnostics})
+    value, se, alpha, xi, diagnostics = _DualityOptimizer(params, cond_entropy).minimize()
+    return BoundRecord(kind, value / LN2, se / LN2, alpha, xi, {**meta, **diagnostics})
 
 
 def upper_bound_U(
@@ -192,7 +190,6 @@ def upper_bound_U(
     n_blocks=4,
     past_window=200,
     seed=0,
-    alpha_bracket=None,
 ):
     """The capacity upper bound with the full-memory conditional entropy.
 
@@ -211,31 +208,29 @@ def upper_bound_U(
         "q_levels": quantizer.q_levels,
         "seed": int(seed),
     }
-    return _duality_record(params, "U", ensemble.cond_entropy, alpha_bracket, meta)
+    return _duality_record(params, "U", ensemble.cond_entropy, meta)
 
 
-def upper_bound_Us(params, n_samples=100_000, seed=0, alpha_bracket=None):
+def upper_bound_Us(params, n_samples=100_000, seed=0):
     """Simplified upper bound: the memory term is the one-step entropy
     h(Delta + phi_0(xi^2) | |xi + z_0|), no forward recursion involved."""
     _check_params(params)
-
-    def cond(xi):
-        est = entropy_delta_plus_phase(xi, params.sigma_delta, n_samples, seed)
-        return est.value, est.std_error
-
     meta = {"n_samples": int(n_samples), "seed": int(seed)}
-    return _duality_record(params, "U_s", cond, alpha_bracket, meta)
+    return _duality_record(
+        params,
+        "U_s",
+        lambda xi: entropy_delta_plus_phase(xi, params.sigma_delta, n_samples, seed),
+        meta,
+    )
 
 
-def memoryless_plus_correction(params, alpha_bracket=None):
+def memoryless_plus_correction(params):
     """Memoryless uniform-phase duality bound plus the SNR-independent
     memory correction log(2pi) - h(Delta). Fully deterministic."""
     _check_params(params)
     h_delta = wrapped_gaussian_entropy(params.sigma_delta)
     meta = {"h_delta_nats": h_delta}
-    return _duality_record(
-        params, "memoryless_plus_corr", lambda xi: (h_delta, 0.0), alpha_bracket, meta
-    )
+    return _duality_record(params, "memoryless_plus_corr", lambda xi: (h_delta, 0.0), meta)
 
 
 def asymptotic_capacity_nats(m, sigma_delta, snr):
@@ -258,12 +253,7 @@ def asymptotic_capacity_nats(m, sigma_delta, snr):
 def asymptotic_capacity(params):
     """High-SNR closed-form capacity expression as a BoundRecord (bits)."""
     value = asymptotic_capacity_nats(params.m, params.sigma_delta, params.snr)
-    return BoundRecord(
-        snr_db=params.snr_db,
-        kind="asymptotic",
-        value_bits=float(value) / LN2,
-        std_error_bits=0.0,
-    )
+    return BoundRecord("asymptotic", float(value) / LN2)
 
 
 def avg_peak_gap(m):

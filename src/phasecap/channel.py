@@ -39,10 +39,6 @@ class ChannelParams:
         if self.snr <= 0:
             raise DomainError(f"snr must be > 0, got {self.snr}")
 
-    @property
-    def snr_db(self):
-        return 10.0 * np.log10(self.snr)
-
 
 def wiener_phase(rng, sigma, n, theta0=None):
     """One length-n trajectory of the wrapped Wiener phase, in [0, 2pi).
@@ -94,7 +90,6 @@ class Constellation:
     the peak constraint with equality.
     """
 
-    name: str
     symbols: np.ndarray
 
     def __post_init__(self):
@@ -117,13 +112,13 @@ def qam_constellation(order):
         raise ConfigurationError(f"QAM order must be a square >= 4, got {order}")
     levels = np.arange(-(side - 1), side, 2, dtype=float)
     re, im = np.meshgrid(levels, levels)
-    return Constellation(f"QAM-{order}", (re + 1j * im).ravel())
+    return Constellation((re + 1j * im).ravel())
 
 
 def psk_constellation(order):
     if order < 2:
         raise ConfigurationError(f"PSK order must be >= 2, got {order}")
-    return Constellation(f"PSK-{order}", np.exp(2j * np.pi * np.arange(order) / order))
+    return Constellation(np.exp(2j * np.pi * np.arange(order) / order))
 
 
 def constellation_by_name(name):

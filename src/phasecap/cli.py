@@ -7,7 +7,9 @@ reruns are deterministic and rows can be computed in any order.
 """
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import os
 import sys
@@ -51,6 +53,7 @@ CSV_COLUMNS = (
     "n_samples",
     "seed",
     "runtime_s",
+    "error",  # empty, or the reason of a failed row: "<kind>: <exception>: <message>"
 )
 
 
@@ -140,8 +143,9 @@ CONFIG_FIELDS = (
 )
 
 
-def parse_config(text):
-    """Parse config text; raises UsageError with line numbers on bad input."""
+def parse_config(text, base_dir=""):
+    """Parse config text; raises UsageError with line numbers on bad input.
+    A relative h_matrix path is joined to `base_dir` (default: the working directory)."""
     fields = {(sec, key): (name, parse) for sec, key, name, parse in CONFIG_FIELDS}
     sections = {sec for sec, _ in fields}
     values = {}
@@ -169,6 +173,8 @@ def parse_config(text):
         except ValueError as exc:
             raise UsageError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
 
+    if values.get("h_source", "unitary") != "unitary":
+        values["h_source"] = os.path.join(base_dir, values["h_source"])
     config = ExperimentConfig(**values)
     if config.stop_db < config.start_db:
         raise UsageError("stop_db must be >= start_db")
@@ -184,8 +190,9 @@ def parse_config(text):
 
 
 def parse_config_file(path):
+    """Parse a config file; a relative h_matrix path is taken relative to it."""
     with open(path) as fh:
-        return parse_config(fh.read())
+        return parse_config(fh.read(), os.path.dirname(path))
 
 
 def canonical_text(config):
@@ -329,7 +336,7 @@ def compute_row(config_dict, kind, snr_db):
             snr = spec.snr_scale(singular_value_bounds(h)) * snr
         params = ChannelParams(config.antennas, config.sigma_delta_radians(), snr)
         cells = spec.compute(params, config, seed)
-    except (NumericUnderflowError, OptimizationError, FloatingPointError) as exc:
+    except (NumericUnderflowError, OptimizationError) as exc:
         cells = (float("nan"), float("nan"), None, None, 0)
         row.update(kind="failed", error=f"{kind}: {type(exc).__name__}: {exc}")
     value, std, opt_alpha, opt_xi, n_samples = cells
@@ -354,7 +361,9 @@ def _format_cell(value):
 
 
 def rows_to_csv(rows):
-    lines = [",".join(CSV_COLUMNS)]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
     for row in sorted(rows, key=lambda r: (r["kind"], r["snr_db"])):
         cells = []
         for col in CSV_COLUMNS:
@@ -363,8 +372,8 @@ def rows_to_csv(rows):
                 cells.append(f"{val:.3f}")
             else:
                 cells.append(_format_cell(val))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        writer.writerow(cells)
+    return out.getvalue()
 
 
 def run_sweep(config, progress=None):
@@ -452,15 +461,15 @@ print("wrote figure{figure_id}.png")
 
 def emit_plot_script(csv_path, figure_id, out_path=None):
     """Write a standalone matplotlib script for the given results CSV."""
-    with open(csv_path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines or lines[0].split(",") != list(CSV_COLUMNS):
+    with open(csv_path, newline="") as fh:
+        records = [r for r in csv.reader(fh) if r]
+    if not records or records[0] != list(CSV_COLUMNS):
         raise SchemaError(f"{csv_path}: missing or wrong CSV header")
-    if len(lines) < 2:
+    if len(records) < 2:
         raise SchemaError(f"{csv_path}: no data rows")
     kinds = []
-    for ln in lines[1:]:
-        kind = ln.split(",")[1]
+    for record in records[1:]:
+        kind = record[1]
         if kind != "failed" and kind not in kinds:
             kinds.append(kind)
     if not kinds:
@@ -556,9 +565,6 @@ def main(argv=None):
     except (UsageError, SchemaError, ConfigurationError, DomainError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NumericUnderflowError, OptimizationError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -2,10 +2,10 @@
 
 Quadrature is used wherever the density is available in closed form; Monte
 Carlo only for the outer amplitude average of the one-step conditional
-entropy. All values are in nats.
+entropy. All values are in nats. `mean_se` is the one (mean, standard
+error) estimator of every Monte Carlo term in the package.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -21,16 +21,12 @@ LOG_2PI = float(np.log(TWO_PI))
 MIN_N_SAMPLES = 100
 
 
-@dataclass(frozen=True)
-class McEstimate:
-    """A Monte Carlo estimate with its standard error.
-
-    Identical (operation, arguments, seed, n_samples) reproduce the value
-    bit-for-bit.
-    """
-
-    value: float
-    std_error: float
+def mean_se(samples):
+    """(mean, standard error of the mean) of a 1-D array of iid samples;
+    the standard error of a single sample is 0."""
+    n = samples.size
+    se = float(samples.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return float(samples.mean()), se
 
 
 def sample_circular_gaussian(rng, size):
@@ -129,7 +125,7 @@ def entropy_delta_plus_phase(xi, sigma, n_samples=100_000, seed=0):
     Mises. It depends on the draw only through kappa = 2 r xi and is
     evaluated on a 257-node kappa table with monotone interpolation.
 
-    Returns an `McEstimate` in nats; deterministic given the seed.
+    Returns (value, std_error) in nats; deterministic given the seed.
     """
     if xi < 0:
         raise DomainError(f"xi must be >= 0, got {xi}")
@@ -151,7 +147,4 @@ def entropy_delta_plus_phase(xi, sigma, n_samples=100_000, seed=0):
         h_nodes = _conv_entropies(sigma, np.expm1(t_nodes))
         interp = PchipInterpolator(t_nodes, h_nodes, extrapolate=True)
         values = interp(np.log1p(kappa))
-
-    value = float(values.mean())
-    std_error = float(values.std(ddof=1) / np.sqrt(n_samples))
-    return McEstimate(value, std_error)
+    return mean_se(values)

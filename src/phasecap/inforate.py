@@ -8,8 +8,10 @@ Two consumers:
     (`PredictiveEnsemble.cond_entropy`), via a pilot-tracking recursion to
     the one-step predictive phase density.
 
-All recursions renormalize the state vector every step and handle the
-likelihoods in the log domain with max subtraction.
+Both are Monte Carlo means over independent blocks, with the block-level
+standard error of `entropy.mean_se`. All recursions renormalize the state
+vector every step and handle the likelihoods in the log domain with max
+subtraction.
 """
 
 from dataclasses import dataclass, field, replace
@@ -18,7 +20,7 @@ import numpy as np
 from scipy import special
 
 from .channel import simulate, wiener_phase
-from .entropy import LOG_2PI, sample_circular_gaussian
+from .entropy import LOG_2PI, mean_se, sample_circular_gaussian
 from .errors import ConfigurationError, DomainError, NumericUnderflowError
 from .mathcore import TWO_PI, rician_phase_pdf, wrapped_gaussian_cdf
 
@@ -204,11 +206,7 @@ def qam_rate(
         ll_mix = _forward_loglik(quantizer.transition, rows)
         block_rates[b] = (ll_cond - ll_mix) / (block_length * np.log(2.0))
 
-    rate = float(block_rates.mean())
-    std_error = (
-        float(block_rates.std(ddof=1) / np.sqrt(n_blocks)) if n_blocks > 1 else 0.0
-    )
-    return RateEstimate(rate, std_error, meta)
+    return RateEstimate(*mean_se(block_rates), meta)
 
 
 @dataclass(frozen=True)
@@ -216,7 +214,8 @@ class PredictiveEnsemble:
     """Per-sample predictive phase densities from a pilot-tracking recursion.
 
     Each sample carries p(theta_l | peak-power pilot past), the true phase
-    theta_l, and an independent CN(0,1) draw for the current observation.
+    theta_l, and an independent CN(0,1) draw for the current observation,
+    in `n_blocks` consecutive runs of equal length, one per block.
     The ensemble is independent of xi, so one build serves every point of
     the amplitude optimization with common random numbers.
     """
@@ -225,7 +224,6 @@ class PredictiveEnsemble:
     predictive: np.ndarray
     theta: np.ndarray
     z_test: np.ndarray
-    block_ids: np.ndarray
     past_window: int
     n_blocks: int
 
@@ -255,12 +253,7 @@ class PredictiveEnsemble:
                 "predictive/von-Mises mixture underflowed; quantizer too coarse"
             )
         values = -np.log(mix) + np.log(TWO_PI * special.ive(0, kappa))
-        means = np.array(
-            [values[self.block_ids == b].mean() for b in range(self.n_blocks)]
-        )
-        value = float(means.mean())
-        se = float(means.std(ddof=1) / np.sqrt(self.n_blocks)) if self.n_blocks > 1 else 0.0
-        return value, se
+        return mean_se(np.array([block.mean() for block in np.split(values, self.n_blocks)]))
 
 
 def build_predictive_ensemble(
@@ -282,7 +275,6 @@ def build_predictive_ensemble(
     predictive = np.empty((n_blocks * keep, q))
     theta_out = np.empty(n_blocks * keep)
     z_out = np.empty(n_blocks * keep, dtype=complex)
-    block_ids = np.repeat(np.arange(n_blocks), keep)
 
     for b in range(n_blocks):
         rng = np.random.default_rng([int(seed), b, 0xE])
@@ -310,7 +302,6 @@ def build_predictive_ensemble(
         predictive,
         theta_out,
         z_out,
-        block_ids,
         int(past_window),
         int(n_blocks),
     )
@@ -344,7 +335,7 @@ def adaptive_predictive_ensemble(
             wider = build(window)
         else:
             rows = np.arange(ensemble.n_samples) % keep >= drop
-            arrays = ("predictive", "theta", "z_test", "block_ids")
+            arrays = ("predictive", "theta", "z_test")
             wider = replace(
                 ensemble, past_window=window, **{f: getattr(ensemble, f)[rows] for f in arrays}
             )

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from phasecap import bounds
 from phasecap.bounds import (
     BoundRecord,
     LN2,
@@ -73,11 +74,11 @@ class TestGAlpha:
         assert value == pytest.approx(direct, abs=1e-6)
 
     def test_domain_checks(self):
-        opt = _DualityOptimizer(ChannelParams(1, SIGMA_6DEG, 4.0), lambda x: (0.0, 0.0))
-        with pytest.raises(DomainError):
-            opt.minimize(alpha_bracket=(0.0, 1.0))
-        with pytest.raises(DomainError):
-            opt.minimize(alpha_bracket=(2.0, 1.0))
+        # the duality bounds need a phase-noise increment: sigma_delta > 0
+        params = ChannelParams(1, 0.0, 4.0)
+        for bound in (upper_bound_U, upper_bound_Us, memoryless_plus_correction):
+            with pytest.raises(DomainError, match="sigma_delta > 0"):
+                bound(params)
 
 
 class TestAsymptoticCapacity:
@@ -175,13 +176,13 @@ class TestHighSnrExcess:
 class TestBoundRecord:
     def test_kind_validation(self):
         with pytest.raises(DomainError):
-            BoundRecord(10.0, "bogus", 1.0)
+            BoundRecord("bogus", 1.0)
 
     def test_finite_validation(self):
         with pytest.raises(DomainError):
-            BoundRecord(10.0, "U", float("nan"))
+            BoundRecord("U", float("nan"))
         with pytest.raises(DomainError):
-            BoundRecord(10.0, "U", 1.0, std_error_bits=-0.1)
+            BoundRecord("U", 1.0, std_error_bits=-0.1)
 
 
 SMALL_BUDGET = dict(block_length=600, n_blocks=2, past_window=150, seed=31)
@@ -212,11 +213,11 @@ class TestUpperBounds:
             assert 0 <= rec.opt_xi <= np.sqrt(10**1.7) * (1 + 1e-9)
         assert u.kind == "U" and us.kind == "U_s" and mem.kind == "memoryless_plus_corr"
 
-    def test_alpha_bracket_reparameterization_invariance(self, records):
+    def test_alpha_bracket_reparameterization_invariance(self, records, monkeypatch):
         params, u, _, _ = records
-        alt = upper_bound_U(
-            params, q_levels=200, alpha_bracket=(3e-3, 7.0), **SMALL_BUDGET
-        )
+        monkeypatch.setattr(bounds, "ALPHA_MIN", 3e-3)
+        monkeypatch.setattr(bounds, "ALPHA_MAX_PER_ANTENNA", 7.0)
+        alt = upper_bound_U(params, q_levels=200, **SMALL_BUDGET)
         assert alt.value_bits == pytest.approx(u.value_bits, abs=1e-9)
 
     def test_more_antennas_higher_simplified_bound(self):
@@ -271,9 +272,9 @@ def optimizers(monkeypatch):
     seen = []
     minimize, terms = _DualityOptimizer.minimize, _DualityOptimizer.terms
 
-    def spy_minimize(opt, alpha_bracket=None):
+    def spy_minimize(opt):
         seen.append(opt)
-        return minimize(opt, alpha_bracket)
+        return minimize(opt)
 
     def spy_terms(opt, xi):
         # a miss of the per-xi term cache is one xi evaluation
@@ -332,12 +333,13 @@ class TestEnvelopeOptimizer:
         assert {rec.opt_xi, rec.meta["xi_runner_up"]} == {0.0, float(np.sqrt(rho))}
         assert not rec.meta["alpha_at_edge"]
 
-    def test_alpha_at_bracket_edge_reported(self):
+    def test_alpha_at_bracket_edge_reported(self, monkeypatch):
         params = ChannelParams(1, SIGMA_6DEG, 100.0)
-        rec = memoryless_plus_correction(params, alpha_bracket=(1e-3, 0.1))
+        free = memoryless_plus_correction(params)
+        monkeypatch.setattr(bounds, "ALPHA_MAX_PER_ANTENNA", 0.1)
+        rec = memoryless_plus_correction(params)
         assert rec.meta["alpha_at_edge"]
         assert rec.opt_alpha == pytest.approx(0.1, rel=1e-9)
-        free = memoryless_plus_correction(params)
         assert free.opt_alpha > 0.1 and free.value_bits < rec.value_bits
 
     def test_refinement_that_never_settles_raises(self, monkeypatch):

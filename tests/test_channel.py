@@ -121,7 +121,7 @@ class TestConstellation:
 
     def test_distinct_symbols_required(self):
         with pytest.raises(ConfigurationError):
-            Constellation("dup", np.array([1.0 + 0j, 1.0 + 0j]))
+            Constellation(np.array([1.0 + 0j, 1.0 + 0j]))
 
     def test_by_name(self):
         assert constellation_by_name("qam64").symbols.size == 64

@@ -1,3 +1,4 @@
+import csv
 import json
 import multiprocessing
 import os
@@ -27,9 +28,8 @@ from phasecap.cli import (
 from phasecap.errors import ConfigurationError, DomainError, RankError, SchemaError, UsageError
 from phasecap.inforate import PhaseQuantizer, qam_rate
 
-H_EXAMPLE = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs", "h_example.txt"
-)
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+H_EXAMPLE = os.path.join(CONFIGS, "h_example.txt")
 
 BASIC_CONFIG = """
 [channel]
@@ -148,6 +148,12 @@ class TestSeedDerivation:
         assert len(seeds) == 4
 
 
+def cells_but_runtime(path):
+    """The CSV rows as dicts, without the row run times."""
+    with open(path, newline="") as fh:
+        return [dict(row, runtime_s=None) for row in csv.DictReader(fh)]
+
+
 class TestRunSweep:
     def test_asymptotic_sweep_rows(self, tmp_path):
         config = make_config(tmp_path)
@@ -174,8 +180,7 @@ class TestRunSweep:
         c2 = make_config(tmp_path, cache_dir=str(tmp_path / "cache2"), csv_path=str(tmp_path / "b.csv"))
         p1, _ = run_sweep(c1)
         p2, _ = run_sweep(c2)
-        strip = lambda p: [ln.rsplit(",", 1)[0] for ln in open(p).read().splitlines()]
-        assert strip(p1) == strip(p2)
+        assert cells_but_runtime(p1) == cells_but_runtime(p2)
 
     def test_cache_invalidation_only_affected_rows(self, tmp_path):
         config = make_config(
@@ -226,8 +231,7 @@ class TestRunSweep:
         )
         p1, _ = run_sweep(serial)
         p2, _ = run_sweep(parallel)
-        strip = lambda p: [ln.rsplit(",", 1)[0] for ln in open(p).read().splitlines()]
-        assert strip(p1) == strip(p2)
+        assert cells_but_runtime(p1) == cells_but_runtime(p2)
 
     def test_nonunitary_kinds_end_to_end(self, tmp_path):
         h_path = tmp_path / "h.txt"
@@ -306,7 +310,7 @@ class TestRunSweep:
         from phasecap.errors import NumericUnderflowError
 
         def boom(*args, **kwargs):
-            raise NumericUnderflowError("synthetic failure")
+            raise NumericUnderflowError("synthetic failure, with a comma")
 
         monkeypatch.setattr(bounds_mod, "memoryless_plus_correction", boom)
         return make_config(
@@ -323,9 +327,12 @@ class TestRunSweep:
         seen = []
         path, failed = run_sweep(config, progress=lambda kind, snr, row: seen.append(row))
         assert failed == 1
-        rows = open(path).read().splitlines()[1:]
-        assert rows[0].split(",")[1] == "failed"
-        assert "synthetic failure" in seen[0]["error"]
+        with open(path, newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["kind"] == "failed"
+        # the real kind leads the reason, and its comma is quoted
+        expected = "memoryless_plus_corr: NumericUnderflowError: synthetic failure, with a comma"
+        assert row["error"] == seen[0]["error"] == expected
         # the failed row is in the CSV but not in the cache
         assert os.listdir(config.cache_dir) == []
 
@@ -477,6 +484,22 @@ class TestMainEntry:
         cfg.write_text(BASIC_CONFIG.format(csv=tmp_path / "o.csv", cache=tmp_path / "cc"))
         assert cli.main(["validate", str(cfg)]) == 0
         assert "[channel]" in capsys.readouterr().out
+
+    def test_validate_resolves_h_matrix_against_the_config_file(self, tmp_path, monkeypatch, capsys):
+        # the example names h_example.txt, beside it; run from elsewhere
+        example = os.path.join(CONFIGS, "nonunitary_example.cfg")
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["validate", example]) == 0
+        assert f"h_matrix = {H_EXAMPLE}\n" in capsys.readouterr().out
+        # config text alone is read relative to the working directory
+        with open(example) as fh, pytest.raises(FileNotFoundError):
+            parse_config(fh.read())
+
+    def test_failed_row_exit_code(self, tmp_path, monkeypatch):
+        config = TestRunSweep.failing_memoryless_config(tmp_path, monkeypatch)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(canonical_text(config))
+        assert cli.main(["sweep", str(cfg)]) == 2
 
     def test_validate_bad_config(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

@@ -83,7 +83,7 @@ class TestQamRate:
     def test_single_symbol_constellation_exactly_zero(self):
         p = ChannelParams(1, 0.3, 10.0)
         q = PhaseQuantizer.build(0.3, 32)
-        one = Constellation("single", np.array([1.0 + 0.5j]))
+        one = Constellation(np.array([1.0 + 0.5j]))
         est = qam_rate(p, one, q, block_length=200, n_blocks=2, seed=1)
         assert est.rate == 0.0
         assert est.std_error == 0.0
@@ -178,7 +178,7 @@ class TestQamRate:
         [
             (qam_constellation(64), [8, 8, 8, 8]),
             (psk_constellation(8), [8, 8]),
-            (Constellation("rotated", qam_constellation(16).symbols * np.exp(0.3j)), [16, 16]),
+            (Constellation(qam_constellation(16).symbols * np.exp(0.3j)), [16, 16]),
         ],
     )
     def test_square_qam_is_summed_over_its_axes(self, constellation, widths, monkeypatch):
@@ -272,9 +272,8 @@ class TestConditionalPhaseEntropy:
         ens = build_predictive_ensemble(p, q, block_length=1200, n_blocks=4, seed=3)
         for xi in [3.0, 10.0]:
             value, se = ens.cond_entropy(xi)
-            simple = entropy_delta_plus_phase(xi, SIGMA_6DEG, 50_000, seed=3)
-            slack = 3 * np.hypot(se, simple.std_error)
-            assert value >= simple.value - slack
+            simple, simple_se = entropy_delta_plus_phase(xi, SIGMA_6DEG, 50_000, seed=3)
+            assert value >= simple - 3 * np.hypot(se, simple_se)
 
     def test_single_pilot_fourier_oracle(self):
         rho = 100.0
@@ -330,7 +329,7 @@ class TestConditionalPhaseEntropy:
     @staticmethod
     def assert_same_ensemble(a, b):
         assert a.past_window == b.past_window
-        for name in ("predictive", "theta", "z_test", "block_ids"):
+        for name in ("predictive", "theta", "z_test"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
             assert getattr(a, name).dtype == getattr(b, name).dtype, name
         for xi in (0.0, 2.0, 10.0):

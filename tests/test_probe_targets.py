@@ -1,0 +1,34 @@
+"""The benchmark's kernel probes (perfbench/probes.py) capture the arguments
+of package functions by name and read the ensemble's arrays; a rename or a
+changed shape in the package must fail here, not only in the benchmark."""
+
+import os
+import re
+
+import numpy as np
+
+from phasecap import bounds, entropy, inforate
+from phasecap.channel import ChannelParams
+
+PROBES = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "probes.py"
+)
+
+
+def test_every_captured_name_exists():
+    with open(PROBES) as fh:
+        captured = re.findall(r"capture\(\s*(\w+),\s*\"(\w+)\"", fh.read())
+    assert len(captured) == 5
+    modules = {"bounds": bounds, "entropy": entropy, "inforate": inforate}
+    for owner, attr in captured:
+        assert callable(getattr(modules[owner], attr, None)), f"{owner}.{attr}"
+
+
+def test_ensemble_arrays_and_cond_entropy_value():
+    params = ChannelParams(1, np.deg2rad(6.0), 100.0)
+    quantizer = inforate.PhaseQuantizer.build(params.sigma_delta, 32)
+    ens = inforate.build_predictive_ensemble(params, quantizer, 200, 2, 0, 100)
+    # the probes index predictive[sample, cell] with the flat theta array
+    assert ens.theta.shape == (ens.theta.size,)
+    assert ens.predictive.shape == (ens.theta.size, ens.grid.size)
+    assert type(ens.cond_entropy(10.0)[0]) is float
