@@ -9,7 +9,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import LOG_2PI, entropy_abs_sq, entropy_delta_plus_phase, expect_log_noncentral
+from .entropy import (
+    LOG_2PI, clear_tables, entropy_abs_sq, entropy_delta_plus_phase, expect_log_noncentral
+)
 from .errors import DomainError, OptimizationError
 from .inforate import PhaseQuantizer, adaptive_predictive_ensemble
 from .mathcore import log_gamma, wrapped_gaussian_entropy
@@ -213,15 +215,19 @@ def upper_bound_U(
 
 def upper_bound_Us(params, n_samples=100_000, seed=0):
     """Simplified upper bound: the memory term is the one-step entropy
-    h(Delta + phi_0(xi^2) | |xi + z_0|), no forward recursion involved."""
+    h(Delta + phi_0(xi^2) | |xi + z_0|), no forward recursion involved.
+    Every xi of the row shares one amplitude draw and one set of kappa tables."""
     _check_params(params)
     meta = {"n_samples": int(n_samples), "seed": int(seed)}
-    return _duality_record(
-        params,
-        "U_s",
-        lambda xi: entropy_delta_plus_phase(xi, params.sigma_delta, n_samples, seed),
-        meta,
-    )
+    try:
+        return _duality_record(
+            params,
+            "U_s",
+            lambda xi: entropy_delta_plus_phase(xi, params.sigma_delta, n_samples, seed),
+            meta,
+        )
+    finally:
+        clear_tables()
 
 
 def memoryless_plus_correction(params):

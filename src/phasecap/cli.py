@@ -310,7 +310,7 @@ _QAM_FIELDS = ("block_length", "n_blocks", "q_levels", "constellation")
 
 KINDS = {
     "U": Kind(_U_FIELDS, None, _upper_U, version=1),
-    "U_s": Kind(("n_samples",), None, _upper_Us, version=1),
+    "U_s": Kind(("n_samples",), None, _upper_Us, version=2),
     "asymptotic": Kind((), None, _asymptotic),
     "memoryless_plus_corr": Kind((), None, _memoryless_plus_corr, version=1),
     "qam_lower": Kind(_QAM_FIELDS, None, _qam_lower, version=1),
@@ -462,16 +462,13 @@ print("wrote figure{figure_id}.png")
 def emit_plot_script(csv_path, figure_id, out_path=None):
     """Write a standalone matplotlib script for the given results CSV."""
     with open(csv_path, newline="") as fh:
-        records = [r for r in csv.reader(fh) if r]
-    if not records or records[0] != list(CSV_COLUMNS):
-        raise SchemaError(f"{csv_path}: missing or wrong CSV header")
-    if len(records) < 2:
+        reader = csv.DictReader(fh)
+        if not {"snr_db", "kind", "value_bits"} <= set(reader.fieldnames or ()):
+            raise SchemaError(f"{csv_path}: CSV header lacks snr_db, kind or value_bits")
+        row_kinds = [row["kind"] for row in reader]
+    if not row_kinds:
         raise SchemaError(f"{csv_path}: no data rows")
-    kinds = []
-    for record in records[1:]:
-        kind = record[1]
-        if kind != "failed" and kind not in kinds:
-            kinds.append(kind)
+    kinds = list(dict.fromkeys(k for k in row_kinds if k != "failed"))
     if not kinds:
         raise SchemaError(f"{csv_path}: no successful rows")
     script = _PLOT_TEMPLATE.format(
@@ -488,10 +485,15 @@ def emit_plot_script(csv_path, figure_id, out_path=None):
 
 def _cmd_sweep(args):
     config = parse_config_file(args.config)
+
     def progress(kind, snr, row):
-        status = "fail" if row["kind"] == "failed" else f"{row['value_bits']:.4f} bits"
-        print(f"  {kind:>22s} @ {snr:5.1f} dB -> {status}", flush=True)
-    path, failed = run_sweep(config, progress=progress if args.verbose else None)
+        if row["kind"] == "failed":  # the error text starts with the kind
+            print(f"row at {snr:g} dB failed: {row['error']}", file=sys.stderr, flush=True)
+        if args.verbose:
+            status = "fail" if row["kind"] == "failed" else f"{row['value_bits']:.4f} bits"
+            print(f"  {kind:>22s} @ {snr:5.1f} dB -> {status}", flush=True)
+
+    path, failed = run_sweep(config, progress=progress)
     print(path)
     return 2 if failed else 0
 

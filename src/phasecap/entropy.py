@@ -2,8 +2,9 @@
 
 Quadrature is used wherever the density is available in closed form; Monte
 Carlo only for the outer amplitude average of the one-step conditional
-entropy. All values are in nats. `mean_se` is the one (mean, standard
-error) estimator of every Monte Carlo term in the package.
+entropy, whose draws and kappa tables are memoized for one U_s row. All
+values are in nats. `mean_se` is the one (mean, standard error) estimator
+of every Monte Carlo term in the package.
 """
 
 from functools import lru_cache
@@ -12,13 +13,17 @@ import numpy as np
 from scipy import special
 from scipy.interpolate import PchipInterpolator
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, NumericUnderflowError
 from .mathcore import DEFAULT_QUADRATURE, TWO_PI, digamma
 
 LOG_2PI = float(np.log(TWO_PI))
 
 # Fewest amplitude draws of the one-step entropy; the sweep config is checked against it.
 MIN_N_SAMPLES = 100
+# Interpolation intervals per unit of log1p(kappa) in the one-step entropy tables.
+NODES_PER_UNIT = 128
+# Largest von Mises concentration: scipy's ive returns NaN from just below 2**30 on.
+KAPPA_MAX = 2.0**30 - 1.0
 
 
 def mean_se(samples):
@@ -115,17 +120,45 @@ def _conv_entropies(sigma, kappas):
     return -(TWO_PI / n_nodes) * np.sum(f * np.log(f), axis=1)
 
 
+@lru_cache(maxsize=1)
+def _amplitude_draws(n_samples, seed):
+    """The read-only CN(0, 1) draws z of the one-step entropy."""
+    z = sample_circular_gaussian(np.random.default_rng([int(seed), 0x5E1F]), n_samples)
+    z.flags.writeable = False
+    return z
+
+
+@lru_cache(maxsize=32)
+def _unit_table(sigma, u):
+    """Read-only PCHIP coefficients, shape (4, NODES_PER_UNIT), of the
+    convolution entropy over t = log1p(kappa) in [u, u + 1]."""
+    t = u + np.arange(NODES_PER_UNIT + 1) / NODES_PER_UNIT
+    c = PchipInterpolator(t, _conv_entropies(sigma, np.minimum(np.expm1(t), KAPPA_MAX))).c
+    c.flags.writeable = False
+    return c
+
+
+def clear_tables():
+    """Forget the memoized draws and kappa tables (one U_s row shares them)."""
+    _amplitude_draws.cache_clear()
+    _unit_table.cache_clear()
+
+
 def entropy_delta_plus_phase(xi, sigma, n_samples=100_000, seed=0):
     """h(Delta + phi0(xi^2) | |xi + z0|) estimated by Monte Carlo over the
     received amplitude.
 
     For each draw r = |xi + z| the conditional law of phi0 given r is von
-    Mises with concentration 2 r xi, so the inner entropy is the exact
-    circular convolution of the wrapped Gaussian of std sigma with that von
-    Mises. It depends on the draw only through kappa = 2 r xi and is
-    evaluated on a 257-node kappa table with monotone interpolation.
+    Mises with concentration kappa = 2 r xi, so the inner entropy is the
+    exact circular convolution of the wrapped Gaussian of std sigma with
+    that von Mises. It is read by index from monotone cubic tables in
+    t = log1p(kappa), one per unit interval of t with NODES_PER_UNIT
+    intervals each; xi = 0 reads the first node, log(2 pi), exactly. The
+    draws and the tables depend only on (n_samples, seed) and (sigma, unit),
+    and are memoized until `clear_tables()`.
 
-    Returns (value, std_error) in nats; deterministic given the seed.
+    Returns (value, std_error) in nats; deterministic given the arguments.
+    Raises NumericUnderflowError when a kappa exceeds KAPPA_MAX.
     """
     if xi < 0:
         raise DomainError(f"xi must be >= 0, got {xi}")
@@ -134,17 +167,12 @@ def entropy_delta_plus_phase(xi, sigma, n_samples=100_000, seed=0):
     if n_samples < MIN_N_SAMPLES:
         raise ConfigurationError(f"n_samples must be >= {MIN_N_SAMPLES}, got {n_samples}")
 
-    rng = np.random.default_rng([int(seed), 0x5E1F])
-    z = sample_circular_gaussian(rng, n_samples)
-    r = np.abs(xi + z)
-    kappa = 2.0 * r * xi
-
-    k_lo, k_hi = float(kappa.min()), float(kappa.max())
-    if k_hi - k_lo < 1e-9 * max(1.0, k_hi):
-        values = np.full(n_samples, _conv_entropies(sigma, 0.5 * (k_lo + k_hi))[0])
-    else:
-        t_nodes = np.linspace(np.log1p(k_lo), np.log1p(k_hi), 257)
-        h_nodes = _conv_entropies(sigma, np.expm1(t_nodes))
-        interp = PchipInterpolator(t_nodes, h_nodes, extrapolate=True)
-        values = interp(np.log1p(kappa))
-    return mean_se(values)
+    kappa = 2.0 * np.abs(xi + _amplitude_draws(n_samples, seed)) * xi
+    if kappa.max() > KAPPA_MAX:
+        raise NumericUnderflowError(f"von Mises kappa {kappa.max():.4g} > {KAPPA_MAX:.0f}")
+    t = np.log1p(kappa)
+    u_lo = int(t.min())
+    c = np.hstack([_unit_table(sigma, u) for u in range(u_lo, int(t.max()) + 1)])
+    j = np.minimum(np.floor(NODES_PER_UNIT * t).astype(int) - NODES_PER_UNIT * u_lo, c.shape[1] - 1)
+    d = t - (j + NODES_PER_UNIT * u_lo) / NODES_PER_UNIT
+    return mean_se(((c[0, j] * d + c[1, j]) * d + c[2, j]) * d + c[3, j])

@@ -26,8 +26,9 @@ class RankError(DomainError):
 
 
 class NumericUnderflowError(ArithmeticError):
-    """A forward-recursion weight underflowed; the phase quantizer is too
-    coarse for the requested SNR."""
+    """A forward-recursion weight underflowed (the phase quantizer is too
+    coarse for the requested SNR), or a von Mises concentration is past the
+    range of the Bessel functions."""
 
 
 class OptimizationError(RuntimeError):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from phasecap import bounds
+from phasecap import bounds, entropy
 from phasecap.bounds import (
     BoundRecord,
     LN2,
@@ -19,7 +19,7 @@ from phasecap.bounds import (
 )
 from phasecap.channel import ChannelParams
 from phasecap.entropy import LOG_2PI, entropy_abs_sq, expect_log_noncentral
-from phasecap.errors import DomainError, OptimizationError
+from phasecap.errors import DomainError, NumericUnderflowError, OptimizationError
 from phasecap.mathcore import log_gamma, wrapped_gaussian_entropy
 
 SIGMA_6DEG = np.deg2rad(6.0)
@@ -233,6 +233,44 @@ class TestUpperBounds:
         us = upper_bound_Us(params, n_samples=5_000, seed=3)
         mem = memoryless_plus_correction(params)
         assert us.value_bits == pytest.approx(mem.value_bits, abs=1e-9)
+
+
+class TestOneStepTablesPerRow:
+    @staticmethod
+    def memos_empty():
+        return (
+            entropy._amplitude_draws.cache_info().currsize == 0
+            and entropy._unit_table.cache_info().currsize == 0
+        )
+
+    def test_memos_cleared_when_the_row_returns_or_raises(self):
+        upper_bound_Us(ChannelParams(1, SIGMA_6DEG, 100.0), n_samples=2000, seed=5)
+        assert self.memos_empty()
+        # at 90 dB kappa = 2 r xi passes the Bessel range at the largest xi
+        with pytest.raises(NumericUnderflowError):
+            upper_bound_Us(ChannelParams(1, SIGMA_6DEG, 1e9), n_samples=1000, seed=5)
+        assert self.memos_empty()
+
+    def test_each_unit_table_is_built_once_per_row(self, monkeypatch):
+        calls = []
+        conv = entropy._conv_entropies
+
+        def spy(sigma, kappas):
+            calls.append(np.array(kappas))
+            return conv(sigma, kappas)
+
+        monkeypatch.setattr(entropy, "_conv_entropies", spy)
+        params = ChannelParams(1, SIGMA_6DEG, 100.0)
+        upper_bound_Us(params, n_samples=2000, seed=5)
+        first = calls[:]
+        units = [int(np.rint(np.log1p(kappas[0]))) for kappas in first]
+        # xi runs from 0 to 10 and r = |xi + z| below 14, so t = log1p(2 r xi) < 6
+        assert sorted(units) == list(range(6))
+        assert all(kappas.size == entropy.NODES_PER_UNIT + 1 for kappas in first)
+        calls.clear()
+        upper_bound_Us(params, n_samples=2000, seed=5)
+        assert len(calls) == len(first)
+        assert all(np.array_equal(a, b) for a, b in zip(calls, first))
 
 
 class TestConstantModulusStructure:

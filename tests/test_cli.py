@@ -304,6 +304,16 @@ class TestRunSweep:
         assert row["kind"] == kind
         assert (row["value_bits"], row["std_error_bits"], row["opt_alpha"], row["opt_xi"]) == expected
 
+    def test_u_s_past_the_bessel_range_is_a_failed_row(self, tmp_path):
+        config = asdict(make_config(tmp_path, kinds=("U_s",), n_samples=1000))
+        # values of the per-xi 257-node kappa tables, master seed 7
+        for snr_db, bits in ((84.0, 17.1951488901721), (86.0, 17.527370396130657)):
+            row = cli.compute_row(config, "U_s", snr_db)
+            assert row["value_bits"] == pytest.approx(bits, abs=1e-12)
+        row = cli.compute_row(config, "U_s", 90.0)
+        assert row["kind"] == "failed"
+        assert row["error"].startswith("U_s: NumericUnderflowError: von Mises kappa")
+
     @staticmethod
     def failing_memoryless_config(tmp_path, monkeypatch):
         from phasecap import bounds as bounds_mod
@@ -459,6 +469,14 @@ class TestPlotScript:
             emit_plot_script(path, "1")
         assert not os.path.exists(tmp_path / "empty_fig1.py")
 
+    def test_columns_read_by_name(self, tmp_path):
+        # a CSV written before the error column was added
+        path = tmp_path / "old.csv"
+        lines = [",".join(CSV_COLUMNS[:-1]), "10.0,U,1.5,0.01,,,0,1,0.100"]
+        path.write_text("\n".join(lines) + "\n")
+        out = emit_plot_script(path, "1")
+        assert "for kind in ('U',)" in open(out).read()
+
     def test_missing_columns_schema_error(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("snr_db,kind\n10.0,U\n")
@@ -495,11 +513,16 @@ class TestMainEntry:
         with open(example) as fh, pytest.raises(FileNotFoundError):
             parse_config(fh.read())
 
-    def test_failed_row_exit_code(self, tmp_path, monkeypatch):
+    def test_failed_row_exit_code(self, tmp_path, monkeypatch, capsys):
         config = TestRunSweep.failing_memoryless_config(tmp_path, monkeypatch)
         cfg = tmp_path / "c.cfg"
         cfg.write_text(canonical_text(config))
         assert cli.main(["sweep", str(cfg)]) == 2
+        # one stderr line per failed row: its SNR, kind and reason
+        assert capsys.readouterr().err.splitlines() == [
+            "row at 10 dB failed: memoryless_plus_corr: NumericUnderflowError: "
+            "synthetic failure, with a comma"
+        ]
 
     def test_validate_bad_config(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

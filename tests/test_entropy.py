@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 from scipy import special
+from scipy.interpolate import PchipInterpolator
 
+from phasecap import entropy
 from phasecap.entropy import (
     LOG_2PI,
+    clear_tables,
     entropy_abs_sq,
     entropy_delta_plus_phase,
     expect_log_noncentral,
@@ -137,6 +140,33 @@ class TestEntropyDeltaPlusPhase:
         oracle = np.mean([inner_entropy(2 * ri * xi) for ri in sub])
         se = np.std([inner_entropy(2 * ri * xi) for ri in sub]) / np.sqrt(400)
         assert value == pytest.approx(oracle, abs=3 * se + 1e-3)
+
+    def test_warm_tables_give_the_value_of_cleared_ones(self):
+        xi = 7.0
+        clear_tables()
+        entropy_delta_plus_phase(2.0, SIGMA_6DEG, 5000, seed=4)  # fills the draws and units 0-3
+        warm = entropy_delta_plus_phase(xi, SIGMA_6DEG, 5000, seed=4)
+        clear_tables()
+        assert entropy_delta_plus_phase(xi, SIGMA_6DEG, 5000, seed=4) == warm
+
+    @pytest.mark.parametrize("snr_db", [10.0, 30.0])
+    def test_unit_tables_match_the_per_xi_table(self, snr_db):
+        # reference: one 257-node PCHIP table in log1p(kappa) per xi, spanning
+        # that xi's draws, read through the interpolator
+        def per_xi(xi, sigma, n, seed):
+            z = sample_circular_gaussian(np.random.default_rng([seed, 0x5E1F]), n)
+            t = np.log1p(2.0 * np.abs(xi + z) * xi)
+            nodes = np.linspace(t.min(), t.max(), 257)
+            h = entropy._conv_entropies(sigma, np.expm1(nodes))
+            values = PchipInterpolator(nodes, h, extrapolate=True)(t)
+            return values.mean(), values.std(ddof=1) / np.sqrt(n)
+
+        for xi in (0.05, 1.0, np.sqrt(10 ** (snr_db / 10))):
+            ref, se = per_xi(xi, SIGMA_6DEG, 100_000, 3)
+            value, new_se = entropy_delta_plus_phase(xi, SIGMA_6DEG, 100_000, 3)
+            assert abs(value - ref) <= 0.01 * se
+            assert new_se == pytest.approx(se, rel=1e-4)
+        clear_tables()
 
     def test_configuration_error(self):
         with pytest.raises(ConfigurationError):

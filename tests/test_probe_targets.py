@@ -6,6 +6,7 @@ import os
 import re
 
 import numpy as np
+import pytest
 
 from phasecap import bounds, entropy, inforate
 from phasecap.channel import ChannelParams
@@ -32,3 +33,25 @@ def test_ensemble_arrays_and_cond_entropy_value():
     assert ens.theta.shape == (ens.theta.size,)
     assert ens.predictive.shape == (ens.theta.size, ens.grid.size)
     assert type(ens.cond_entropy(10.0)[0]) is float
+
+
+def test_one_step_entropy_reaches_conv_entropies_after_a_u_s_row(monkeypatch):
+    # the conv_entropies probe stops a standalone one-step entropy call at its
+    # first `_conv_entropies(sigma, kappas)` call, after a U_s row has run
+    params = ChannelParams(1, np.deg2rad(6.0), 100.0)
+    bounds.upper_bound_Us(params, n_samples=1000, seed=3)
+    calls = []
+
+    class Captured(Exception):
+        pass
+
+    def stop(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise Captured
+
+    monkeypatch.setattr(entropy, "_conv_entropies", stop)
+    with pytest.raises(Captured):
+        entropy.entropy_delta_plus_phase(10.0, params.sigma_delta, 1000, 3)
+    ((args, kwargs),) = calls
+    assert len(args) == 2 and kwargs == {}
+    assert args[0] == params.sigma_delta and args[1].ndim == 1
