@@ -123,8 +123,10 @@ def _conditional_log_rows(y, x, grid, m):
 def _add_mixture_logsumexp(rows, b, hsq, grid):
     """rows[k, q] += log sum_s exp(2 Re(e^{j grid_q} b[k, s]) - hsq[s]), in place.
 
-    `b` is (n, S) and `hsq` is (S,); the (n, Q, S) exponent is formed in
-    chunks of rows to bound memory, and reduced with max subtraction.
+    The generic sum over S symbols, for sets that are not a product of two
+    PAM axes (PSK, rotated QAM) and for the dense reference. `b` is (n, S)
+    and `hsq` is (S,); the (n, Q, S) exponent is formed in chunks of rows to
+    bound memory, and reduced with max subtraction.
     """
     n = b.shape[0]
     cos_g, sin_g = np.cos(grid), np.sin(grid)
@@ -140,24 +142,50 @@ def _add_mixture_logsumexp(rows, b, hsq, grid):
         rows[k0:k1] += np.log(np.sum(np.exp(exponent - peak), axis=2)) + np.squeeze(peak, axis=2)
 
 
+def _add_axis_logsumexp(rows, c, levels):
+    """rows += log sum_a exp(2 a c - a^2), in place, over sorted real `levels`.
+
+    `c` is an (n, Q) projection. The exponent c^2 - (a - c)^2 peaks at the
+    level nearest to c, found by bisection on the midpoints (the levels need
+    not be equally spaced), so the max subtraction needs no reduction.
+    """
+    nearest = levels[np.searchsorted(0.5 * (levels[1:] + levels[:-1]), c)]
+    peak = (2.0 * c - nearest) * nearest
+    total = np.zeros_like(c)
+    term = np.empty_like(c)
+    for a in levels:
+        np.multiply(c, 2.0 * a, out=term)
+        term -= peak
+        term -= a * a
+        total += np.exp(term, out=term)
+    rows += np.log(total, out=total)
+    rows += peak
+
+
 def _mixture_log_rows_separable(y, symbols, grid, m):
     """Input-averaged log-likelihood rows.
 
     With H = I the average over the full |X|^m product set factorizes
     exactly into a product of per-antenna sums. When the symbols are
     themselves a product set {a + jb} (square QAM: distinct symbols and
-    #re * #im == #symbols), each per-antenna sum factors once more, because
-    2 Re(e^{j theta} conj(y) (a + jb)) - (a^2 + b^2) splits into an `a`
-    part and a `jb` part: it is the product of a sum over the real levels
-    and a sum over the imaginary ones.
+    #re * #im == #symbols), each per-antenna sum factors once more. With
+    p = e^{j theta} conj(y_i), a real level contributes Re(p a) = a Re p and
+    an imaginary one Re(p jb) = -b Im p, so each PAM axis is one (n, Q)
+    projection c (Re p or -Im p) and the sum log sum_a exp(2 a c - a^2) over
+    its levels. Other sets sum their symbols in `_add_mixture_logsumexp`.
     """
     re, im = np.unique(symbols.real), np.unique(symbols.imag)
-    axes = (re + 0j, 1j * im) if re.size * im.size == symbols.size else (symbols,)
     rows = np.zeros((y.shape[0], grid.size))
-    for i in range(m):
-        for axis in axes:
-            b = np.conj(y[:, i])[:, None] * axis[None, :]
-            _add_mixture_logsumexp(rows, b, np.abs(axis) ** 2, grid)
+    if re.size * im.size == symbols.size:
+        cos_g, sin_g = np.cos(grid)[None, :], np.sin(grid)[None, :]
+        for i in range(m):
+            yr, yi = y[:, i].real[:, None], y[:, i].imag[:, None]
+            _add_axis_logsumexp(rows, cos_g * yr + sin_g * yi, re)
+            _add_axis_logsumexp(rows, cos_g * yi - sin_g * yr, im)
+    else:
+        for i in range(m):
+            b = np.conj(y[:, i])[:, None] * symbols[None, :]
+            _add_mixture_logsumexp(rows, b, np.abs(symbols) ** 2, grid)
     rows -= m * np.log(symbols.size)
     rows += (-np.sum(np.abs(y) ** 2, axis=1) - m * LOG_PI)[:, None]
     return rows

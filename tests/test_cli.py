@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import multiprocessing
 import os
@@ -400,6 +401,12 @@ class TestRunSweep:
         config = make_config(tmp_path, master_seed=20260809)
         assert cli.KINDS["asymptotic"].version == 0
         assert row_cache_key(config, "asymptotic", 10.0) == "6339bce2175bbf9dd2faedb321e236f3"
+
+    def test_kinds_sharing_a_compute_share_a_version(self):
+        # a numerics change to a compute function moves every kind that calls it
+        for a, b in itertools.combinations(cli.KINDS.values(), 2):
+            if a.compute is b.compute:
+                assert a.version == b.version
 
 
     @pytest.mark.skipif(

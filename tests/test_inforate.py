@@ -176,12 +176,13 @@ class TestQamRate:
     @pytest.mark.parametrize(
         "constellation, widths",
         [
-            (qam_constellation(64), [8, 8, 8, 8]),
+            (qam_constellation(64), []),
             (psk_constellation(8), [8, 8]),
             (Constellation(qam_constellation(16).symbols * np.exp(0.3j)), [16, 16]),
         ],
     )
     def test_square_qam_is_summed_over_its_axes(self, constellation, widths, monkeypatch):
+        # square QAM is one projection per PAM axis and makes no generic call
         seen = []
 
         def spy(rows, b, hsq, grid):
@@ -194,6 +195,45 @@ class TestQamRate:
         y = np.ones((10, 2), dtype=complex)
         _mixture_log_rows_separable(y, symbols, grid, 2)
         assert seen == widths
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("snr_db", [50.0, 60.0])
+    def test_projection_rows_at_high_snr(self, m, snr_db):
+        # |c| reaches about sqrt(snr) here, so a wrong peak level would
+        # overflow or underflow the exps. Both sums cancel terms as large as
+        # `scale`, so they agree to a few of its ulps, not to 1e-10: at 60 dB
+        # they are 7e-10 apart where `scale` reaches 4e6, 2e-16 of it
+        p = ChannelParams(m, SIGMA_6DEG, 10.0 ** (snr_db / 10.0))
+        grid = PhaseQuantizer.build(SIGMA_6DEG, 64).grid
+        symbols = qam_constellation(64).scaled_symbols(p.snr, m)
+        x = symbols[np.random.default_rng(m).integers(0, 64, size=(400, m))]
+        y, _ = simulate(p, x, seed=[64, m])
+        rows = _mixture_log_rows_separable(y, symbols, grid, m)
+        assert np.all(np.isfinite(rows))
+        scale = np.sum((np.abs(y) + np.abs(symbols).max()) ** 2, axis=1)[:, None]
+        # the same rows summed over the full symbol set of each antenna
+        reference = np.zeros_like(rows)
+        for i in range(m):
+            b = np.conj(y[:, i])[:, None] * symbols[None, :]
+            _add_mixture_logsumexp(reference, b, np.abs(symbols) ** 2, grid)
+        reference += (-m * np.log(64) - np.sum(np.abs(y) ** 2, axis=1) - m * LOG_PI)[:, None]
+        assert np.all(np.abs(rows - reference) <= 1e-10 + 1e-14 * scale)
+
+    def test_unequally_spaced_product_set(self):
+        # a product set whose levels are not equally spaced: the nearest
+        # level must come from the midpoints. Rounding c on the mean spacing
+        # picks a farther level for some c, and at this scale that level's
+        # peak leaves the nearest level's exp above the float range
+        re, im = np.array([-3.0, -1.0, 0.5, 4.0]), np.array([-2.0, 1.0, 3.0])
+        symbols = 30.0 * (re[:, None] + 1j * im[None, :]).ravel()
+        grid = PhaseQuantizer.build(SIGMA_6DEG, 32).grid
+        rng = np.random.default_rng(4)
+        y = 60.0 * (rng.standard_normal((300, 2)) + 1j * rng.standard_normal((300, 2)))
+        first, second = np.meshgrid(symbols, symbols, indexing="ij")
+        vectors = np.stack([first.ravel(), second.ravel()], axis=1)
+        sep = _mixture_log_rows_separable(y, symbols, grid, 2)
+        dense = _mixture_log_rows_dense(y, vectors, grid, 2)
+        assert np.max(np.abs(sep - dense)) < 1e-10
 
     def test_mixture_size_is_the_number_summed(self):
         q = PhaseQuantizer.build(SIGMA_6DEG, 32)
