@@ -7,7 +7,6 @@ from .bounds import (
     avg_peak_gap,
     d_alpha,
     memoryless_plus_correction,
-    nonunitary_bounds,
     upper_bound_U,
     upper_bound_Us,
 )
@@ -35,8 +34,6 @@ from .inforate import (
 )
 from .mathcore import (
     Quadrature,
-    digamma,
-    log_gamma,
     rician_phase_pdf,
     wrapped_gaussian_entropy,
     wrapped_gaussian_pdf,

@@ -8,13 +8,14 @@ channel use (the reporting unit).
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import gammaln
 
 from .entropy import (
     LOG_2PI, clear_tables, entropy_abs_sq, entropy_delta_plus_phase, expect_log_noncentral
 )
 from .errors import DomainError, OptimizationError
 from .inforate import PhaseQuantizer, adaptive_predictive_ensemble
-from .mathcore import log_gamma, wrapped_gaussian_entropy
+from .mathcore import wrapped_gaussian_entropy
 
 LN2 = float(np.log(2.0))
 
@@ -27,7 +28,7 @@ def d_alpha(alpha, m):
     """Duality constant log Gamma(alpha) - log Gamma(m) - m + 1."""
     if alpha <= 0:
         raise DomainError(f"alpha must be > 0, got {alpha}")
-    return log_gamma(alpha) - log_gamma(m) - m + 1.0
+    return gammaln(alpha) - gammaln(m) - m + 1.0
 
 
 @dataclass(frozen=True)
@@ -87,12 +88,12 @@ class _DualityOptimizer:
     """min over alpha of the duality prefix plus max over xi of g(alpha, xi).
 
     For fixed xi, g is a line in alpha, A - alpha B, with A = m e1 - e2 - h_c
-    and B = e1 - (xi^2 + m) / (rho + m). The terms of each xi (two quadratures
-    and the conditional entropy) are cached, so the Monte Carlo noise is frozen
-    over the whole search (common random numbers). The objective, the prefix
-    plus the max of the lines of every xi so far, is convex in alpha (the
-    prefix has second derivative psi'(alpha) - 1/alpha > 0), so it has one
-    minimum in log alpha. `cond_entropy(xi)` returns (value_nats,
+    and B = e1 - (xi^2 + m) / (rho + m). The terms of each xi (e1 in closed
+    form, one quadrature and the conditional entropy) are cached, so the Monte
+    Carlo noise is frozen over the whole search (common random numbers). The
+    objective, the prefix plus the max of the lines of every xi so far, is
+    convex in alpha (the prefix has second derivative psi'(alpha) - 1/alpha
+    > 0), so it has one minimum in log alpha. `cond_entropy(xi)` returns (value_nats,
     std_error_nats) of the conditional-entropy term; its std error is the bound's.
     """
 
@@ -241,6 +242,8 @@ def memoryless_plus_correction(params):
 
 def asymptotic_capacity_nats(m, sigma_delta, snr):
     """High-SNR capacity expansion, in nats."""
+    if m < 1:
+        raise DomainError(f"m must be >= 1, got {m}")
     if snr <= 0:
         raise DomainError(f"snr must be > 0, got {snr}")
     if sigma_delta <= 0:
@@ -249,7 +252,7 @@ def asymptotic_capacity_nats(m, sigma_delta, snr):
     return (
         half * np.log(snr)
         - np.log(half)
-        - log_gamma(m)
+        - gammaln(m)
         + 0.5 * np.log(np.pi)
         - half
         - wrapped_gaussian_entropy(sigma_delta)
@@ -268,18 +271,4 @@ def avg_peak_gap(m):
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
     half = m - 0.5
-    return float(log_gamma(half) - (m - 1.5) * np.log(1.0 / half) + half)
-
-
-def nonunitary_bounds(curve, lambda_min, lambda_max, snr):
-    """Bounds for full-rank non-unitary H from the unitary-case curve.
-
-    `curve` maps a linear SNR to bits/channel-use for the unitary channel;
-    the result is the pure SNR-axis shift pair
-    (curve(lambda_min * snr), curve(lambda_max * snr)).
-    """
-    if lambda_min <= 0:
-        raise DomainError(f"lambda_min must be > 0, got {lambda_min}")
-    if lambda_max < lambda_min:
-        raise DomainError("lambda_max must be >= lambda_min")
-    return float(curve(lambda_min * snr)), float(curve(lambda_max * snr))
+    return float(gammaln(half) - (m - 1.5) * np.log(1.0 / half) + half)

@@ -1,10 +1,11 @@
 """Differential-entropy and expectation-of-log estimators.
 
-Quadrature is used wherever the density is available in closed form; Monte
-Carlo only for the outer amplitude average of the one-step conditional
-entropy, whose draws and kappa tables are memoized for one U_s row. All
-values are in nats. `mean_se` is the one (mean, standard error) estimator
-of every Monte Carlo term in the package.
+The expected log of the output norm is in closed form (exponential integral
+and Kummer functions); the entropy of |xi + z|^2 is a quadrature against its
+Bessel density; Monte Carlo is used only for the outer amplitude average of
+the one-step conditional entropy, whose draws and kappa tables are memoized
+for one U_s row. All values are in nats. `mean_se` is the one (mean,
+standard error) estimator of every Monte Carlo term in the package.
 """
 
 from functools import lru_cache
@@ -14,7 +15,7 @@ from scipy import special
 from scipy.interpolate import PchipInterpolator
 
 from .errors import ConfigurationError, DomainError, NumericUnderflowError
-from .mathcore import DEFAULT_QUADRATURE, TWO_PI, digamma
+from .mathcore import DEFAULT_QUADRATURE, TWO_PI
 
 LOG_2PI = float(np.log(TWO_PI))
 
@@ -43,30 +44,21 @@ def sample_circular_gaussian(rng, size):
 def expect_log_noncentral(xi, m):
     """E[log(|xi + z1|^2 + sum_{j=2}^m |z_j|^2)] with z_j iid CN(0, 1).
 
-    The sum follows a noncentral chi-square law with 2m degrees of freedom
-    and noncentrality xi^2; the expectation is computed by quadrature
-    against that density. Exact digamma value at xi = 0.
+    The sum is a Poisson(lam = xi^2) mixture of Gamma(m + K, 1) laws, so the
+    expectation is E psi(m + K), in closed form the g_m of Lapidoth & Moser
+    (2003): log(lam) + E1(lam) + sum_{j=1}^{m-1} 1F1(1; j + 1; -lam) / j.
+    Exact digamma value at xi = 0.
     """
     if xi < 0:
         raise DomainError(f"xi must be >= 0, got {xi}")
     m = int(m)
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
-    if xi < 1e-8:
-        return digamma(m)
-
-    def integrand(u):
-        # t = u^2; density of t times log(t) times dt = 2u du
-        logp = (
-            -((u - xi) ** 2)
-            + (m - 1) * np.log(u / xi)
-            + np.log(special.ive(m - 1, 2.0 * xi * u))
-        )
-        return 4.0 * u * np.log(u) * np.exp(logp)
-
-    lo = max(0.0, xi - 13.0)
-    hi = xi + 13.0 + np.sqrt(2.0 * m)
-    return DEFAULT_QUADRATURE.integrate(integrand, lo, hi)
+    lam = float(xi) ** 2
+    if lam == 0.0:
+        return float(special.digamma(m))
+    tail = sum(special.hyp1f1(1.0, j + 1.0, -lam) / j for j in range(1, m))
+    return float(np.log(lam) + special.exp1(lam) + tail)
 
 
 def entropy_abs_sq(xi):

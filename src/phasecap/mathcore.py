@@ -1,4 +1,4 @@
-"""Special functions and wrapped/circular probability primitives.
+"""Wrapped/circular probability primitives and the Gauss-Legendre quadrature.
 
 Everything here is a pure function of its arguments. Entropies are in nats;
 angles in radians; densities in 1/radian.
@@ -12,9 +12,6 @@ from scipy import special
 from .errors import DomainError
 
 TWO_PI = 2.0 * np.pi
-
-# Euler-Mascheroni constant
-EULER_GAMMA = 0.5772156649015329
 
 
 def _as_float_array(x):
@@ -86,24 +83,6 @@ def wrapped_gaussian_entropy(sigma):
         return -f * np.log(f)
 
     return DEFAULT_QUADRATURE.integrate(neg_flogf, 0.0, TWO_PI)
-
-
-def log_gamma(x):
-    """log Gamma(x) for x > 0."""
-    x = _as_float_array(x)
-    if np.any(x <= 0):
-        raise DomainError("log_gamma requires x > 0")
-    out = special.gammaln(x)
-    return out if out.ndim else float(out)
-
-
-def digamma(x):
-    """psi(x) for x > 0."""
-    x = _as_float_array(x)
-    if np.any(x <= 0):
-        raise DomainError("digamma requires x > 0")
-    out = special.digamma(x)
-    return out if out.ndim else float(out)
 
 
 def rician_phase_pdf(phi, a):

@@ -13,14 +13,12 @@ from phasecap.bounds import (
     avg_peak_gap,
     d_alpha,
     memoryless_plus_correction,
-    nonunitary_bounds,
     upper_bound_U,
     upper_bound_Us,
 )
 from phasecap.channel import ChannelParams
 from phasecap.entropy import LOG_2PI, entropy_abs_sq, expect_log_noncentral
 from phasecap.errors import DomainError, NumericUnderflowError, OptimizationError
-from phasecap.mathcore import log_gamma, wrapped_gaussian_entropy
 
 SIGMA_6DEG = np.deg2rad(6.0)
 
@@ -100,6 +98,8 @@ class TestAsymptoticCapacity:
     def test_domain(self):
         with pytest.raises(DomainError):
             asymptotic_capacity_nats(1, 0.0, 10.0)
+        with pytest.raises(DomainError):
+            asymptotic_capacity_nats(0, SIGMA_6DEG, 10.0)
 
 
 class TestAvgPeakGap:
@@ -121,25 +121,6 @@ class TestAvgPeakGap:
     def test_domain(self):
         with pytest.raises(DomainError):
             avg_peak_gap(0)
-
-
-class TestNonunitaryBounds:
-    def test_identity_shift(self):
-        curve = lambda snr: np.log2(snr)
-        lo, hi = nonunitary_bounds(curve, 1.0, 1.0, 30.0)
-        assert lo == hi == pytest.approx(np.log2(30.0), rel=1e-14)
-
-    def test_asymptotic_gap_identity(self):
-        m, ratio = 2, 4.0
-        curve = lambda snr: asymptotic_capacity_nats(m, SIGMA_6DEG, snr) / LN2
-        lo, hi = nonunitary_bounds(curve, 0.5, 0.5 * ratio, 80.0)
-        assert (hi - lo) * LN2 == pytest.approx((m - 0.5) * np.log(ratio), abs=1e-9)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            nonunitary_bounds(lambda s: s, 0.0, 1.0, 10.0)
-        with pytest.raises(DomainError):
-            nonunitary_bounds(lambda s: s, 2.0, 1.0, 10.0)
 
 
 def gamma_output_excess_bits(m):

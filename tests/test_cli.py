@@ -307,8 +307,8 @@ class TestRunSweep:
 
     def test_u_s_past_the_bessel_range_is_a_failed_row(self, tmp_path):
         config = asdict(make_config(tmp_path, kinds=("U_s",), n_samples=1000))
-        # values of the per-xi 257-node kappa tables, master seed 7
-        for snr_db, bits in ((84.0, 17.1951488901721), (86.0, 17.527370396130657)):
+        # values with the unit kappa tables and the closed-form E log, master seed 7
+        for snr_db, bits in ((84.0, 17.195148890171502), (86.0, 17.5273703961348)):
             row = cli.compute_row(config, "U_s", snr_db)
             assert row["value_bits"] == pytest.approx(bits, abs=1e-12)
         row = cli.compute_row(config, "U_s", 90.0)

@@ -29,11 +29,13 @@ def mc_abs_sq_samples(xi, m, n, seed):
 class TestExpectLogNoncentral:
     def test_central_exponential(self):
         assert expect_log_noncentral(0.0, 1) == pytest.approx(-EULER_GAMMA, abs=1e-9)
+        assert expect_log_noncentral(0.0, 1) == special.digamma(1)
 
     def test_central_gamma2(self):
         assert expect_log_noncentral(0.0, 2) == pytest.approx(
             1.0 - EULER_GAMMA, abs=1e-9
         )
+        assert expect_log_noncentral(0.0, 2) == special.digamma(2)
 
     def test_vs_monte_carlo(self):
         t = mc_abs_sq_samples(4.0, 1, 10_000_000, seed=7)
@@ -52,6 +54,23 @@ class TestExpectLogNoncentral:
         assert expect_log_noncentral(100.0, 1) == pytest.approx(
             2 * np.log(100.0), rel=0.01
         )
+
+    @pytest.mark.parametrize("snr_db", [10.0, 20.0, 30.0, 80.0])
+    def test_m1_is_log_plus_exponential_integral(self, snr_db):
+        # the duality optimizer's xi grid; ln(lam) + E1(lam) is undefined at 0
+        for xi in np.linspace(0.0, np.sqrt(10 ** (snr_db / 10)), 64)[1:]:
+            lam = xi * xi
+            expected = np.log(lam) + special.exp1(lam)
+            assert expect_log_noncentral(xi, 1) == pytest.approx(expected, abs=1e-13)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_survival_series(self, m):
+        # E psi(m + K), K ~ Poisson(lam), summed as psi(m) + sum_k P(K > k) / (m + k)
+        for xi in np.linspace(0.0, 30.0, 64):
+            lam = xi * xi
+            k = np.arange(int(lam + 12 * xi + 40) + 1)
+            expected = special.digamma(m) + np.sum(special.pdtrc(k, lam) / (m + k))
+            assert expect_log_noncentral(xi, m) == pytest.approx(expected, abs=1e-13)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -7,8 +5,6 @@ from phasecap.errors import DomainError
 from phasecap.mathcore import (
     DEFAULT_QUADRATURE,
     TWO_PI,
-    digamma,
-    log_gamma,
     rician_phase_pdf,
     wrap_truncation_order,
     wrapped_gaussian_cdf,
@@ -18,7 +14,6 @@ from phasecap.mathcore import (
 )
 
 SIGMA_6DEG = np.deg2rad(6.0)
-EULER_GAMMA = 0.5772156649015329
 
 
 def wrapped_pdf_oracle(delta, sigma, n_terms=10_000):
@@ -107,30 +102,6 @@ class TestWrappedGaussianType:
         assert wrapped_gaussian_cdf(b, sigma) - wrapped_gaussian_cdf(a, sigma) == pytest.approx(
             mass, abs=1e-10
         )
-
-
-class TestGammaFamily:
-    def test_log_gamma_integers(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-        assert log_gamma(4.0) == pytest.approx(np.log(6.0), abs=1e-13)
-
-    def test_digamma_values(self):
-        assert digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-12)
-        assert digamma(2.0) == pytest.approx(1.0 - EULER_GAMMA, abs=1e-12)
-
-    def test_random_args_vs_stdlib_oracles(self):
-        rng = np.random.default_rng(11)
-        for x in rng.uniform(0.1, 20.0, 20):
-            assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-12, abs=1e-12)
-            h = 1e-6 * max(1.0, x)
-            fd = (math.lgamma(x + h) - math.lgamma(x - h)) / (2 * h)
-            assert digamma(x) == pytest.approx(fd, abs=1e-5)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            log_gamma(0.0)
-        with pytest.raises(DomainError):
-            digamma(-2.0)
 
 
 class TestRicianPhasePdf:
