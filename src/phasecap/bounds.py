@@ -78,7 +78,7 @@ def _golden_min(f, lo, hi, abs_tol, max_iter=400):
 
 
 # Golden tolerance in log alpha, the cap on search rounds, and the gap (nats)
-# under which two lines at alpha* tie.
+# under which two lines at alpha* tie, so a refined xi no longer counts.
 ALPHA_TOL, MAX_ROUNDS, XI_TIE_NATS = 1e-11, 8, 1e-9
 # The alpha bracket of the search: [ALPHA_MIN, ALPHA_MAX_PER_ANTENNA * m].
 ALPHA_MIN, ALPHA_MAX_PER_ANTENNA = 1e-3, 10.0
@@ -88,8 +88,8 @@ class _DualityOptimizer:
     """min over alpha of the duality prefix plus max over xi of g(alpha, xi).
 
     For fixed xi, g is a line in alpha, A - alpha B, with A = m e1 - e2 - h_c
-    and B = e1 - (xi^2 + m) / (rho + m). The terms of each xi (e1 in closed
-    form, one quadrature and the conditional entropy) are cached, so the Monte
+    and B = e1 - (xi^2 + m) / (rho + m). The line of each xi (e1 in closed
+    form, one quadrature and the conditional entropy) is cached, so the Monte
     Carlo noise is frozen over the whole search (common random numbers). The
     objective, the prefix plus the max of the lines of every xi so far, is
     convex in alpha (the prefix has second derivative psi'(alpha) - 1/alpha
@@ -107,61 +107,58 @@ class _DualityOptimizer:
         self._terms = {}
 
     def terms(self, xi):
-        """(E log of the squared output norm, h(|xi + z|^2), conditional
-        entropy, its std error), all in nats and cached per xi."""
+        """The line of xi, (A, B, std error of A), in nats and cached per xi."""
         xi = float(xi)
         hit = self._terms.get(xi)
         if hit is None:
             h_cond, se = self.cond_entropy(xi)
-            hit = (
-                expect_log_noncentral(xi, self.m),
-                entropy_abs_sq(xi),
-                h_cond,
-                se,
-            )
-            self._terms[xi] = hit
+            e1 = expect_log_noncentral(xi, self.m)
+            a = self.m * e1 - entropy_abs_sq(xi) - h_cond
+            hit = self._terms[xi] = (a, e1 - (xi * xi + self.m) / (self.rho + self.m), se)
         return hit
 
-    def g(self, alpha, xi):
-        """The amplitude-dependent part of the duality bound, in nats."""
-        e1, e2, hc, _ = self.terms(xi)
-        return (
-            (self.m - alpha) * e1
-            + alpha * (xi * xi + self.m) / (self.rho + self.m)
-            - e2
-            - hc
-        )
-
     def inner_max(self, alpha):
-        vals = np.array([self.g(alpha, x) for x in self.grid])
-        i = int(np.argmax(vals))
+        """(max, argmax) of A - alpha B over xi: a golden search between the
+        grid neighbours of the best grid line."""
+        a, b, _ = np.array([self.terms(x) for x in self.grid]).T
+        i = int(np.argmax(a - alpha * b))
         lo = self.grid[max(i - 1, 0)]
         hi = self.grid[min(i + 1, self.grid.size - 1)]
-        x_ref, neg = _golden_min(lambda x: -self.g(alpha, x), lo, hi, self.xi_tol)
-        if -neg >= vals[i]:
-            return -neg, x_ref
-        return float(vals[i]), float(self.grid[i])
+
+        def neg_g(x):
+            a_x, b_x, _ = self.terms(x)
+            return alpha * b_x - a_x
+
+        x_ref, neg = _golden_min(neg_g, lo, hi, self.xi_tol)
+        return -neg, x_ref
 
     def objective(self, alpha):
         prefix = alpha * np.log((self.rho + self.m) / alpha) + d_alpha(alpha, self.m)
         return prefix + LOG_2PI + np.max(self._lines[0] - alpha * self._lines[1])
 
     def minimize(self):
-        """Golden search in log alpha, then xi refined at alpha*, until that adds no xi."""
+        """Golden search in log alpha, then xi refined at alpha*, until no refined
+        xi beats the envelope at alpha* by more than XI_TIE_NATS; the result is
+        the minimum over alpha of the lines of every xi evaluated."""
         t_lo, t_hi = np.log(ALPHA_MIN), np.log(ALPHA_MAX_PER_ANTENNA * self.m)
+
+        def alpha_search():
+            self._lines = np.array(list(self._terms.values())).T
+            t, f = _golden_min(lambda t: self.objective(np.exp(t)), t_lo, t_hi, ALPHA_TOL)
+            return t, f, float(np.exp(t))
+
         for x in self.grid:
             self.terms(x)
         for _ in range(MAX_ROUNDS):
-            xi = np.array(list(self._terms))
-            e1, e2, hc, se = np.array(list(self._terms.values())).T
-            self._lines = self.m * e1 - e2 - hc, e1 - (xi * xi + self.m) / (self.rho + self.m)
-            t_star, f_star = _golden_min(lambda t: self.objective(np.exp(t)), t_lo, t_hi, ALPHA_TOL)
-            alpha_star = float(np.exp(t_star))
-            self.inner_max(alpha_star)
-            if len(self._terms) == xi.size:
+            t_star, f_star, alpha_star = alpha_search()
+            envelope = np.max(self._lines[0] - alpha_star * self._lines[1])
+            if self.inner_max(alpha_star)[0] <= envelope + XI_TIE_NATS:
                 break
         else:
-            raise OptimizationError(f"xi refinement still adding points after {MAX_ROUNDS} rounds")
+            raise OptimizationError(f"refined xi above the envelope after {MAX_ROUNDS} rounds")
+        if len(self._terms) > self._lines.shape[1]:  # the last refinement added xi
+            t_star, f_star, alpha_star = alpha_search()
+        xi = np.array(list(self._terms))
         vals = self._lines[0] - alpha_star * self._lines[1]
         i = int(np.argmax(vals))
         # the runner-up: the best line more than one grid step away from xi*
@@ -172,7 +169,7 @@ class _DualityOptimizer:
             "xi_tied": bool(vals[i] - vals[j] <= XI_TIE_NATS),
             "xi_runner_up": float(xi[j]),
         }
-        return float(f_star), float(se[i]), alpha_star, float(xi[i]), diagnostics
+        return float(f_star), float(self._lines[2][i]), alpha_star, float(xi[i]), diagnostics
 
 
 def _check_params(params):

@@ -1,7 +1,7 @@
 """Acceptance suite: desk-scale reproduction checks with one printed
 PASS/FAIL line per criterion.
 
-The two figure sweeps are expensive (several minutes each on first run);
+The two figure sweeps are the expensive part (about 25 s each on first run);
 their rows are cached per config hash in .acceptance-cache so reruns are
 incremental. Delete that directory for a cold run.
 """

@@ -6,11 +6,15 @@ import contextlib
 import importlib.util
 import os
 
+import numpy as np
+
 from phasecap import bounds, cli, entropy, inforate, mathcore
+from phasecap.channel import ChannelParams
 
 TRACING = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracing.py"
 )
+MODULES = {"bounds": bounds, "entropy": entropy, "mathcore": mathcore, "inforate": inforate}
 
 
 def load_tracing():
@@ -23,12 +27,23 @@ def load_tracing():
 def test_every_instrumented_name_exists():
     tracing = load_tracing()
     tracer = tracing.Tracer()
-    modules = {"bounds": bounds, "entropy": entropy, "mathcore": mathcore, "inforate": inforate}
     originals = (cli.compute_row, inforate._mixture_log_rows_dense, inforate.simulate)
     with contextlib.ExitStack() as stack:
         tracing.install_row_timer(stack, tracer, cli)
-        tracing.install_layer_wrappers(stack, tracer, modules)
+        tracing.install_layer_wrappers(stack, tracer, MODULES)
         assert tracer.missing == []
         assert inforate._mixture_log_rows_dense is not originals[1]
     # closing the stack puts every original back
     assert (cli.compute_row, inforate._mixture_log_rows_dense, inforate.simulate) == originals
+
+
+def test_xi_evaluation_count_matches_the_row():
+    # the tracer counts a xi evaluation as a miss of the optimizer's `_terms`
+    # cache, read through getattr with an empty default; a renamed cache would
+    # count every call
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    with contextlib.ExitStack() as stack:
+        tracing.install_layer_wrappers(stack, tracer, MODULES)
+        rec = bounds.memoryless_plus_correction(ChannelParams(1, np.deg2rad(6.0), 100.0))
+    assert tracer.counts["bounds.xi_evals"] == rec.meta["xi_evals"]
