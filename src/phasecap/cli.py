@@ -313,9 +313,9 @@ KINDS = {
     "U_s": Kind(("n_samples",), None, _upper_Us, version=4),
     "asymptotic": Kind((), None, _asymptotic),
     "memoryless_plus_corr": Kind((), None, _memoryless_plus_corr, version=3),
-    "qam_lower": Kind(_QAM_FIELDS, None, _qam_lower, version=2),
+    "qam_lower": Kind(_QAM_FIELDS, None, _qam_lower, version=3),
     "nonunitary_upper": Kind(_U_FIELDS, max, _upper_U, version=3),
-    "nonunitary_lower": Kind(_QAM_FIELDS, min, _qam_lower, version=2),
+    "nonunitary_lower": Kind(_QAM_FIELDS, min, _qam_lower, version=3),
 }
 VALID_KINDS = tuple(KINDS)
 

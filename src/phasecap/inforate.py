@@ -11,7 +11,8 @@ Two consumers:
 Both are Monte Carlo means over independent blocks, with the block-level
 standard error of `entropy.mean_se`. All recursions renormalize the state
 vector every step and handle the likelihoods in the log domain with max
-subtraction.
+subtraction. The input average of `qam_rate` (the mixture rows) is one
+log-sum-exp kernel, `_add_logsumexp`, over real points, whatever the set.
 """
 
 from dataclasses import dataclass, field, replace
@@ -120,72 +121,63 @@ def _conditional_log_rows(y, x, grid, m):
     return 2.0 * re + const[:, None]
 
 
-def _add_mixture_logsumexp(rows, b, hsq, grid):
-    """rows[k, q] += log sum_s exp(2 Re(e^{j grid_q} b[k, s]) - hsq[s]), in place.
+def _add_logsumexp(rows, c, points):
+    """rows += log sum_w exp(2 w.c - |w|^2), in place, over the real points w.
 
-    The generic sum over S symbols, for sets that are not a product of two
-    PAM axes (PSK, rotated QAM) and for the dense reference. `b` is (n, S)
-    and `hsq` is (S,); the (n, Q, S) exponent is formed in chunks of rows to
-    bound memory, and reduced with max subtraction.
+    `points` is (S, d) and `c` holds the d (n, Q) projections. The exponent
+    |c|^2 - |w - c|^2 peaks at the point nearest to c; a running max over the
+    points finds that peak, and it is taken off before the exps.
     """
-    n = b.shape[0]
-    cos_g, sin_g = np.cos(grid), np.sin(grid)
-    chunk = max(1, int(4_000_000 // (grid.size * b.shape[1])))
-    for k0 in range(0, n, chunk):
-        k1 = min(n, k0 + chunk)
-        re = (
-            cos_g[None, :, None] * b.real[k0:k1, None, :]
-            - sin_g[None, :, None] * b.imag[k0:k1, None, :]
-        )
-        exponent = 2.0 * re - hsq[None, None, :]
-        peak = np.max(exponent, axis=2, keepdims=True)
-        rows[k0:k1] += np.log(np.sum(np.exp(exponent - peak), axis=2)) + np.squeeze(peak, axis=2)
+    term = np.empty_like(c[0])
 
+    def exponent(w):  # 2 w.c, into term
+        np.multiply(c[0], 2.0 * w[0], out=term)
+        for cj, wj in zip(c[1:], w[1:]):
+            np.add(term, cj * (2.0 * wj), out=term)
+        return term
 
-def _add_axis_logsumexp(rows, c, levels):
-    """rows += log sum_a exp(2 a c - a^2), in place, over sorted real `levels`.
-
-    `c` is an (n, Q) projection. The exponent c^2 - (a - c)^2 peaks at the
-    level nearest to c, found by bisection on the midpoints (the levels need
-    not be equally spaced), so the max subtraction needs no reduction.
-    """
-    nearest = levels[np.searchsorted(0.5 * (levels[1:] + levels[:-1]), c)]
-    peak = (2.0 * c - nearest) * nearest
-    total = np.zeros_like(c)
-    term = np.empty_like(c)
-    for a in levels:
-        np.multiply(c, 2.0 * a, out=term)
+    peak = np.full_like(term, -np.inf)
+    for w in points:
+        np.maximum(peak, np.subtract(exponent(w), w @ w, out=term), out=peak)
+    total = np.zeros_like(term)
+    for w in points:
+        exponent(w)
         term -= peak
-        term -= a * a
+        term -= w @ w
         total += np.exp(term, out=term)
     rows += np.log(total, out=total)
     rows += peak
 
 
+def _projections(y, grid):
+    """Re p and -Im p of p = e^{j grid} conj(y_i), each (n, Q), for each
+    antenna i in turn, so that Re(p s) = Re s Re p + Im s (-Im p)."""
+    cos_g, sin_g = np.cos(grid)[None, :], np.sin(grid)[None, :]
+    for yr, yi in zip(y.real.T[:, :, None], y.imag.T[:, :, None]):
+        yield cos_g * yr + sin_g * yi
+        yield cos_g * yi - sin_g * yr
+
+
 def _mixture_log_rows_separable(y, symbols, grid, m):
     """Input-averaged log-likelihood rows.
 
-    With H = I the average over the full |X|^m product set factorizes
-    exactly into a product of per-antenna sums. When the symbols are
-    themselves a product set {a + jb} (square QAM: distinct symbols and
-    #re * #im == #symbols), each per-antenna sum factors once more. With
-    p = e^{j theta} conj(y_i), a real level contributes Re(p a) = a Re p and
-    an imaginary one Re(p jb) = -b Im p, so each PAM axis is one (n, Q)
-    projection c (Re p or -Im p) and the sum log sum_a exp(2 a c - a^2) over
-    its levels. Other sets sum their symbols in `_add_mixture_logsumexp`.
+    With H = I the average over the |X|^m input vectors factorizes exactly
+    into per-antenna sums of exp(2 Re(p s) - |s|^2) over the symbols s, with
+    p = e^{j theta} conj(y_i): the points (Re s, Im s) against (Re p, -Im p).
+    A product set {a + jb} (square QAM: distinct symbols and #re * #im ==
+    #symbols) factors once more, into one sum over the levels of each PAM
+    axis against its own projection.
     """
     re, im = np.unique(symbols.real), np.unique(symbols.imag)
     rows = np.zeros((y.shape[0], grid.size))
+    proj = _projections(y, grid)
     if re.size * im.size == symbols.size:
-        cos_g, sin_g = np.cos(grid)[None, :], np.sin(grid)[None, :]
-        for i in range(m):
-            yr, yi = y[:, i].real[:, None], y[:, i].imag[:, None]
-            _add_axis_logsumexp(rows, cos_g * yr + sin_g * yi, re)
-            _add_axis_logsumexp(rows, cos_g * yi - sin_g * yr, im)
+        for levels, c in zip((re, im) * m, proj):
+            _add_logsumexp(rows, (c,), levels[:, None])
     else:
-        for i in range(m):
-            b = np.conj(y[:, i])[:, None] * symbols[None, :]
-            _add_mixture_logsumexp(rows, b, np.abs(symbols) ** 2, grid)
+        points = np.stack([symbols.real, symbols.imag], axis=1)
+        for c in zip(proj, proj):  # (Re p, -Im p) of each antenna
+            _add_logsumexp(rows, c, points)
     rows -= m * np.log(symbols.size)
     rows += (-np.sum(np.abs(y) ** 2, axis=1) - m * LOG_PI)[:, None]
     return rows
@@ -193,11 +185,11 @@ def _mixture_log_rows_separable(y, symbols, grid, m):
 
 def _mixture_log_rows_dense(y, vectors, grid, m):
     """Input-averaged log-likelihood rows over an explicit list of input
-    vectors, summed without factoring: the exhaustive reference for
-    `_mixture_log_rows_separable`."""
+    vectors v, summed without factoring over the points (Re v_1, Im v_1, ...,
+    Re v_m, Im v_m): the exhaustive reference for `_mixture_log_rows_separable`."""
     rows = np.zeros((y.shape[0], grid.size))
-    hsq = np.sum(np.abs(vectors) ** 2, axis=1)
-    _add_mixture_logsumexp(rows, np.conj(y) @ vectors.T, hsq, grid)
+    points = np.stack([vectors.real, vectors.imag], axis=2).reshape(vectors.shape[0], 2 * m)
+    _add_logsumexp(rows, tuple(_projections(y, grid)), points)
     rows -= np.log(vectors.shape[0])
     rows += (-np.sum(np.abs(y) ** 2, axis=1) - m * LOG_PI)[:, None]
     return rows

@@ -16,7 +16,6 @@ from phasecap.errors import ConfigurationError, DomainError, NumericUnderflowErr
 from phasecap.inforate import (
     LOG_PI,
     PhaseQuantizer,
-    _add_mixture_logsumexp,
     _forward_loglik,
     _mixture_log_rows_dense,
     _mixture_log_rows_separable,
@@ -27,6 +26,23 @@ from phasecap.inforate import (
 from phasecap.mathcore import TWO_PI, rician_phase_pdf, wrapped_gaussian_entropy
 
 SIGMA_6DEG = np.deg2rad(6.0)
+ROTATED_QAM16 = Constellation(qam_constellation(16).symbols * np.exp(0.3j))
+
+
+def logsumexp_rows(y, vectors, grid):
+    """The mixture rows over an explicit list of input vectors v, shape (S, m):
+    scipy's logsumexp over the explicit (n, S) exponent
+    2 Re(e^{j theta} y^H v) - |v|^2 of each phase level theta."""
+    ip = np.conj(y) @ vectors.T
+    hsq = np.sum(np.abs(vectors) ** 2, axis=1)
+    rows = [special.logsumexp(2.0 * (np.exp(1j * theta) * ip).real - hsq, axis=1) for theta in grid]
+    const = np.log(vectors.shape[0]) + np.sum(np.abs(y) ** 2, axis=1) + y.shape[1] * LOG_PI
+    return np.stack(rows, axis=1) - const[:, None]
+
+
+def per_antenna_logsumexp_rows(y, symbols, grid):
+    """The same rows summed over the full symbol set of each antenna in turn."""
+    return sum(logsumexp_rows(y[:, [i]], symbols[:, None], grid) for i in range(y.shape[1]))
 
 
 class TestPhaseQuantizer:
@@ -141,9 +157,9 @@ class TestQamRate:
             assert abs(vals[1] - vals[0]) < 0.02
 
     def test_separable_equals_dense_enumeration(self):
-        # 700 rows: the dense path (S = 256) runs chunks of at most 325 rows,
-        # the separable path two 4-wide calls per antenna (the I and Q axes
-        # of 16-QAM), each in one chunk
+        # the dense path sums the 256 input vectors as points in R^4 in one
+        # kernel call, the separable path makes two 4-level calls per antenna
+        # (the I and Q axes of 16-QAM); scipy checks the dense rows on their own
         q = PhaseQuantizer.build(SIGMA_6DEG, 48)
         symbols = qam_constellation(16).scaled_symbols(30.0, 2)
         rng = np.random.default_rng(0)
@@ -154,6 +170,7 @@ class TestQamRate:
         vectors = np.stack([first.ravel(), second.ravel()], axis=1)
         dense = _mixture_log_rows_dense(y, vectors, q.grid, 2)
         assert np.max(np.abs(sep - dense)) < 1e-10
+        assert np.max(np.abs(dense - logsumexp_rows(y, vectors, q.grid))) < 1e-10
 
     @pytest.mark.parametrize("order", [16, 64])
     @pytest.mark.parametrize("m", [1, 2])
@@ -165,65 +182,66 @@ class TestQamRate:
         x = symbols[np.random.default_rng(order).integers(0, order, size=(400, m))]
         y, _ = simulate(p, x, seed=[order, m])
         factored = _mixture_log_rows_separable(y, symbols, grid, m)
-        # the same rows summed over the full symbol set of each antenna
-        rows = np.zeros((y.shape[0], grid.size))
-        for i in range(m):
-            b = np.conj(y[:, i])[:, None] * symbols[None, :]
-            _add_mixture_logsumexp(rows, b, np.abs(symbols) ** 2, grid)
-        rows += (-m * np.log(order) - np.sum(np.abs(y) ** 2, axis=1) - m * LOG_PI)[:, None]
-        assert np.max(np.abs(factored - rows)) < 1e-10
+        assert np.max(np.abs(factored - per_antenna_logsumexp_rows(y, symbols, grid))) < 1e-10
 
     @pytest.mark.parametrize(
         "constellation, widths",
         [
-            (qam_constellation(64), []),
+            (qam_constellation(64), [8, 8, 8, 8]),
             (psk_constellation(8), [8, 8]),
-            (Constellation(qam_constellation(16).symbols * np.exp(0.3j)), [16, 16]),
+            (ROTATED_QAM16, [16, 16]),
         ],
     )
     def test_square_qam_is_summed_over_its_axes(self, constellation, widths, monkeypatch):
-        # square QAM is one projection per PAM axis and makes no generic call
+        # square QAM sums the 8 levels of each PAM axis, two calls per
+        # antenna; other sets sum all their symbols, one call per antenna
         seen = []
+        kernel = inforate._add_logsumexp
 
-        def spy(rows, b, hsq, grid):
-            seen.append(b.shape[1])
-            return _add_mixture_logsumexp(rows, b, hsq, grid)
+        def spy(rows, c, points):
+            seen.append(points.shape[0])
+            return kernel(rows, c, points)
 
-        monkeypatch.setattr(inforate, "_add_mixture_logsumexp", spy)
+        monkeypatch.setattr(inforate, "_add_logsumexp", spy)
         grid = PhaseQuantizer.build(SIGMA_6DEG, 16).grid
         symbols = constellation.scaled_symbols(100.0, 2)
         y = np.ones((10, 2), dtype=complex)
         _mixture_log_rows_separable(y, symbols, grid, 2)
         assert seen == widths
 
-    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize(
+        "m, constellation",
+        # square 64-QAM (its PAM axes) keeps the bare antenna count as its
+        # id; PSK-8 and rotated 16-QAM sum points in the plane
+        [pytest.param(m, qam_constellation(64), id=f"{m}") for m in (1, 2)]
+        + [
+            pytest.param(m, c, id=f"{m}-{name}")
+            for name, c in (("psk8", psk_constellation(8)), ("rotated_qam16", ROTATED_QAM16))
+            for m in (1, 2)
+        ],
+    )
     @pytest.mark.parametrize("snr_db", [50.0, 60.0])
-    def test_projection_rows_at_high_snr(self, m, snr_db):
-        # |c| reaches about sqrt(snr) here, so a wrong peak level would
-        # overflow or underflow the exps. Both sums cancel terms as large as
-        # `scale`, so they agree to a few of its ulps, not to 1e-10: at 60 dB
-        # they are 7e-10 apart where `scale` reaches 4e6, 2e-16 of it
+    def test_projection_rows_at_high_snr(self, m, constellation, snr_db):
+        # |c| reaches about sqrt(snr) here, so a wrong peak would overflow or
+        # underflow the exps. Both sums cancel terms as large as `scale`, so
+        # they agree to a few of its ulps, not to 1e-10: at 60 dB they are
+        # 7e-10 apart where `scale` reaches 4e6, 2e-16 of it
         p = ChannelParams(m, SIGMA_6DEG, 10.0 ** (snr_db / 10.0))
         grid = PhaseQuantizer.build(SIGMA_6DEG, 64).grid
-        symbols = qam_constellation(64).scaled_symbols(p.snr, m)
-        x = symbols[np.random.default_rng(m).integers(0, 64, size=(400, m))]
-        y, _ = simulate(p, x, seed=[64, m])
+        symbols = constellation.scaled_symbols(p.snr, m)
+        x = symbols[np.random.default_rng(m).integers(0, symbols.size, size=(400, m))]
+        y, _ = simulate(p, x, seed=[symbols.size, m])
         rows = _mixture_log_rows_separable(y, symbols, grid, m)
         assert np.all(np.isfinite(rows))
         scale = np.sum((np.abs(y) + np.abs(symbols).max()) ** 2, axis=1)[:, None]
-        # the same rows summed over the full symbol set of each antenna
-        reference = np.zeros_like(rows)
-        for i in range(m):
-            b = np.conj(y[:, i])[:, None] * symbols[None, :]
-            _add_mixture_logsumexp(reference, b, np.abs(symbols) ** 2, grid)
-        reference += (-m * np.log(64) - np.sum(np.abs(y) ** 2, axis=1) - m * LOG_PI)[:, None]
+        reference = per_antenna_logsumexp_rows(y, symbols, grid)
         assert np.all(np.abs(rows - reference) <= 1e-10 + 1e-14 * scale)
 
     def test_unequally_spaced_product_set(self):
-        # a product set whose levels are not equally spaced: the nearest
-        # level must come from the midpoints. Rounding c on the mean spacing
-        # picks a farther level for some c, and at this scale that level's
-        # peak leaves the nearest level's exp above the float range
+        # a product set whose levels are not equally spaced: the peak must
+        # be the nearest level's term. Rounding c on the mean spacing picks a
+        # farther level for some c, and at this scale that level's peak
+        # leaves the nearest level's exp above the float range
         re, im = np.array([-3.0, -1.0, 0.5, 4.0]), np.array([-2.0, 1.0, 3.0])
         symbols = 30.0 * (re[:, None] + 1j * im[None, :]).ravel()
         grid = PhaseQuantizer.build(SIGMA_6DEG, 32).grid
