@@ -204,6 +204,7 @@ def upper_bound_U(
     )
     meta = {
         "past_window": ensemble.past_window,
+        "predictive_width": ensemble.window.shape[0],
         "n_samples": ensemble.n_samples,
         "q_levels": quantizer.q_levels,
         "seed": int(seed),

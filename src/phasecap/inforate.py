@@ -6,7 +6,9 @@ Two consumers:
   * `adaptive_predictive_ensemble` — the full-memory conditional
     differential entropy term of the capacity upper bound
     (`PredictiveEnsemble.cond_entropy`), via a pilot-tracking recursion to
-    the one-step predictive phase density.
+    the one-step predictive phase density. Each density is kept once more
+    on its W live levels around its peak, and `cond_entropy` sums over
+    those only.
 
 Both are Monte Carlo means over independent blocks, with the block-level
 standard error of `entropy.mean_se`. All recursions renormalize the state
@@ -31,6 +33,15 @@ LOG_PI = float(np.log(np.pi))
 MIN_Q_LEVELS = 8
 MIN_BLOCK_LENGTH = 100
 MIN_N_BLOCKS = 1
+
+# `cond_entropy` reads a predictive density on its levels above this share
+# of its peak (see `_live_window`).
+PREDICTIVE_CUT = 1e-18
+
+# The mixture-row exponents are clipped here before the exp: exp of anything
+# below about -708 is subnormal or 0 and takes a slow path, and a clipped term
+# adds at most e^-700 to a sum that is at least 1, below half an ulp of it.
+EXP_FLOOR = -700.0
 
 
 def _wrap_pm_pi(x):
@@ -126,7 +137,8 @@ def _add_logsumexp(rows, c, points):
 
     `points` is (S, d) and `c` holds the d (n, Q) projections. The exponent
     |c|^2 - |w - c|^2 peaks at the point nearest to c; a running max over the
-    points finds that peak, and it is taken off before the exps.
+    points finds that peak, and it is taken off before the exps, whose
+    exponents are clipped at EXP_FLOOR.
     """
     term = np.empty_like(c[0])
 
@@ -144,6 +156,7 @@ def _add_logsumexp(rows, c, points):
         exponent(w)
         term -= peak
         term -= w @ w
+        np.maximum(term, EXP_FLOOR, out=term)
         total += np.exp(term, out=term)
     rows += np.log(total, out=total)
     rows += peak
@@ -229,6 +242,30 @@ def qam_rate(
     return RateEstimate(*mean_se(block_rates), meta)
 
 
+def _live_window(predictive, grid):
+    """The levels of each predictive density that `cond_entropy` reads.
+
+    Returns the phase of each row's peak level, the W phase offsets j h
+    (h = 2 pi / Q, j = -half .. W - half - 1) of the window around it, and
+    the (W, N) window of densities, one row per offset. W = 2 half + 1 is the
+    smallest width that holds every level above PREDICTIVE_CUT of its row's
+    peak, over all rows; once that would reach Q, the window is all Q levels.
+    """
+    n, q = predictive.shape
+    flat = predictive.ravel()
+    peak = predictive.argmax(axis=1)
+    row_start = np.arange(n) * q
+    at_peak = row_start + peak  # flat index of each row's peak
+    live = np.flatnonzero(predictive > PREDICTIVE_CUT * flat[at_peak][:, None])
+    step = (live - at_peak[live // q]) % q  # level of each live cell, counted from its peak
+    half = int(np.minimum(step, q - step).max())
+    steps = np.arange(min(2 * half + 1, q)) - half
+    window = np.empty((steps.size, n))
+    for out, j in zip(window, steps):
+        np.take(flat, row_start + (peak + j) % q, out=out)
+    return grid[peak], TWO_PI / q * steps, window
+
+
 @dataclass(frozen=True)
 class PredictiveEnsemble:
     """Per-sample predictive phase densities from a pilot-tracking recursion.
@@ -238,6 +275,12 @@ class PredictiveEnsemble:
     in `n_blocks` consecutive runs of equal length, one per block.
     The ensemble is independent of xi, so one build serves every point of
     the amplitude optimization with common random numbers.
+
+    `predictive` is (N, Q), on the full grid. Construction keeps each density
+    once more on its W live levels (see `_live_window`): `window` (W, N),
+    centred on the level at phase `centre` (N,), at the phase `offsets` (W,)
+    from it. These are derived from `predictive`, so an ensemble built from
+    a row slice carries the window that a fresh build of those rows would.
     """
 
     grid: np.ndarray
@@ -246,6 +289,14 @@ class PredictiveEnsemble:
     z_test: np.ndarray
     past_window: int
     n_blocks: int
+    centre: np.ndarray = field(init=False, repr=False)
+    offsets: np.ndarray = field(init=False, repr=False)
+    window: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        live = _live_window(self.predictive, self.grid)
+        for name, value in zip(("centre", "offsets", "window"), live):
+            object.__setattr__(self, name, value)
 
     @property
     def n_samples(self):
@@ -256,7 +307,10 @@ class PredictiveEnsemble:
 
         Evaluates -log of the predictive density circularly convolved with
         the von Mises conditional of phi_0 given the realized amplitude, at
-        the realized observation, and averages per block.
+        the realized observation, and averages per block. The convolution
+        runs over each sample's window only; with v = u0 - centre,
+        cos(u0 - centre - d) = cos v cos d + sin v sin d is an outer product
+        over the (W,) offsets d and the (N,) samples.
         """
         if xi < 0:
             raise DomainError(f"xi must be >= 0, got {xi}")
@@ -265,14 +319,17 @@ class PredictiveEnsemble:
         zr = xi + self.z_test
         r = np.abs(zr)
         kappa = 2.0 * r * xi
-        u0 = self.theta + np.angle(zr)
-        delta = u0[:, None] - self.grid[None, :]
-        mix = np.sum(self.predictive * np.exp(kappa[:, None] * (np.cos(delta) - 1.0)), axis=1)
+        v = self.theta + np.angle(zr) - self.centre
+        t = np.multiply.outer(np.cos(self.offsets), np.cos(v))
+        t += np.multiply.outer(np.sin(self.offsets), np.sin(v))
+        t -= 1.0
+        t *= kappa
+        mix = np.einsum("wn,wn->n", self.window, np.exp(t, out=t))
         if np.any(mix <= 0.0) or not np.all(np.isfinite(mix)):
             raise NumericUnderflowError(
                 "predictive/von-Mises mixture underflowed; quantizer too coarse"
             )
-        values = -np.log(mix) + np.log(TWO_PI * special.ive(0, kappa))
+        values = -np.log(mix) + np.log(TWO_PI * special.i0e(kappa))
         return mean_se(np.array([block.mean() for block in np.split(values, self.n_blocks)]))
 
 
@@ -284,7 +341,8 @@ def build_predictive_ensemble(
     Pilots are sent at peak power (s^2 = snr); the recursion uses the exact
     phase likelihood p(u_l | theta_l) = f_phi(u_l - theta_l; snr). Samples
     are accumulated once the past holds at least `past_window` symbols (and
-    never fewer than 100, the stationarity burn-in).
+    never fewer than 100, the stationarity burn-in). The ensemble keeps the
+    full (N, Q) densities and, for `cond_entropy`, their live window.
     """
     _check_blocks(params, quantizer, block_length, n_blocks)
     burn = max(100, int(past_window))

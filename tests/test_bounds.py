@@ -199,6 +199,7 @@ class TestUpperBounds:
             assert rec.opt_alpha > 0
             assert 0 <= rec.opt_xi <= np.sqrt(10**1.7) * (1 + 1e-9)
         assert u.kind == "U" and us.kind == "U_s" and mem.kind == "memoryless_plus_corr"
+        assert 0 < u.meta["predictive_width"] < u.meta["q_levels"]
 
     def test_alpha_bracket_reparameterization_invariance(self, records, monkeypatch):
         params, u, _, _ = records

@@ -11,7 +11,7 @@ from phasecap.channel import (
     qam_constellation,
     simulate,
 )
-from phasecap.entropy import LOG_2PI, entropy_delta_plus_phase, sample_circular_gaussian
+from phasecap.entropy import LOG_2PI, entropy_delta_plus_phase, mean_se, sample_circular_gaussian
 from phasecap.errors import ConfigurationError, DomainError, NumericUnderflowError
 from phasecap.inforate import (
     LOG_PI,
@@ -237,6 +237,27 @@ class TestQamRate:
         reference = per_antenna_logsumexp_rows(y, symbols, grid)
         assert np.all(np.abs(rows - reference) <= 1e-10 + 1e-14 * scale)
 
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("snr_db", [30.0, 60.0])
+    def test_clipped_exponents_leave_the_rows_unchanged(self, m, snr_db, monkeypatch):
+        # a clipped exp adds at most e^-700 to a sum of at least 1, below half
+        # an ulp of it, so the rows equal those of an unclipped kernel exactly
+        p = ChannelParams(m, SIGMA_6DEG, 10.0 ** (snr_db / 10.0))
+        grid = PhaseQuantizer.build(SIGMA_6DEG, 64).grid
+        symbols = qam_constellation(64).scaled_symbols(p.snr, m)
+        x = symbols[np.random.default_rng(m).integers(0, symbols.size, size=(400, m))]
+        y, _ = simulate(p, x, seed=[symbols.size, m])
+        # the exponents of the PAM-axis sums do reach below the floor
+        levels = np.unique(symbols.real)[:, None, None]
+        deepest = min(
+            np.min(term - term.max(axis=0))
+            for term in (2.0 * levels * c - levels**2 for c in inforate._projections(y, grid))
+        )
+        assert deepest < inforate.EXP_FLOOR
+        clipped = _mixture_log_rows_separable(y, symbols, grid, m)
+        monkeypatch.setattr(inforate, "EXP_FLOOR", -np.inf)
+        assert np.array_equal(clipped, _mixture_log_rows_separable(y, symbols, grid, m))
+
     def test_unequally_spaced_product_set(self):
         # a product set whose levels are not equally spaced: the peak must
         # be the nearest level's term. Rounding c on the mean spacing picks a
@@ -306,6 +327,18 @@ def single_pilot_entropy_oracle(xi, rho, sigma, n_mc=30_000, seed=17):
     return float(vals.mean())
 
 
+def full_grid_cond_entropy(ens, xi):
+    """`cond_entropy` summed over all Q levels of every sample's predictive
+    density, with `cos(u0 - grid)` taken directly: the reference for the
+    windowed sum."""
+    zr = xi + ens.z_test
+    kappa = 2.0 * np.abs(zr) * xi
+    delta = (ens.theta + np.angle(zr))[:, None] - ens.grid[None, :]
+    mix = np.sum(ens.predictive * np.exp(kappa[:, None] * (np.cos(delta) - 1.0)), axis=1)
+    values = np.log(TWO_PI * special.ive(0, kappa)) - np.log(mix)
+    return mean_se(np.array([block.mean() for block in np.split(values, ens.n_blocks)]))
+
+
 class TestConditionalPhaseEntropy:
     def test_zero_amplitude_uniform(self):
         p = ChannelParams(1, SIGMA_6DEG, 100.0)
@@ -321,6 +354,37 @@ class TestConditionalPhaseEntropy:
         value, se = ens.cond_entropy(5.0)
         # the unconditional sum with uniform theta0 is uniform: log(2 pi)
         assert value == pytest.approx(LOG_2PI, abs=3 * se + 1e-9)
+
+    def test_flat_density_keeps_every_level(self):
+        # sigma = 10 rad: every level is live, and with Q even the farthest
+        # level is Q/2 steps from the peak on both sides
+        p = ChannelParams(1, 10.0, 100.0)
+        q = PhaseQuantizer.build(10.0, 100)
+        ens = build_predictive_ensemble(p, q, block_length=300, n_blocks=2, seed=1, past_window=100)
+        assert ens.window.shape == (100, ens.n_samples)
+        for xi in (1.0, 5.0):
+            assert ens.cond_entropy(xi) == pytest.approx(full_grid_cond_entropy(ens, xi), abs=1e-10)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("snr_db", [10.0, 20.0, 30.0])
+    def test_window_matches_the_full_grid(self, m, snr_db):
+        p = ChannelParams(m, SIGMA_6DEG, 10.0 ** (snr_db / 10.0))
+        q = PhaseQuantizer.build(SIGMA_6DEG, 200)
+        ens = build_predictive_ensemble(p, q, block_length=600, n_blocks=2, seed=m, past_window=100)
+        width = ens.window.shape[0]
+        assert width % 2 == 1 and width < q.q_levels
+        # every level outside the window is below 1e-18 of its row's peak
+        outside = ens.predictive.copy()
+        peak = ens.predictive.argmax(axis=1)
+        for j in range(-(width // 2), width // 2 + 1):
+            outside[np.arange(ens.n_samples), (peak + j) % q.q_levels] = 0.0
+        assert np.all(outside <= 1e-18 * ens.predictive.max(axis=1)[:, None])
+        peak_amplitude = np.sqrt(p.snr)
+        for xi in (0.3, 1.0, 0.5 * peak_amplitude, peak_amplitude, 2.0 * peak_amplitude):
+            value, se = ens.cond_entropy(xi)
+            ref_value, ref_se = full_grid_cond_entropy(ens, xi)
+            assert abs(value - ref_value) < 1e-10
+            assert abs(se - ref_se) < 1e-10
 
     def test_full_past_at_most_one_step_entropy(self):
         # conditioning on the noisy past cannot be more informative than
@@ -387,7 +451,7 @@ class TestConditionalPhaseEntropy:
     @staticmethod
     def assert_same_ensemble(a, b):
         assert a.past_window == b.past_window
-        for name in ("predictive", "theta", "z_test"):
+        for name in ("predictive", "theta", "z_test", "centre", "offsets", "window"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
             assert getattr(a, name).dtype == getattr(b, name).dtype, name
         for xi in (0.0, 2.0, 10.0):
@@ -411,6 +475,20 @@ class TestConditionalPhaseEntropy:
         ens = adaptive_predictive_ensemble(p, q, 600, 2, 9, 150)
         assert ens.past_window == 300  # the next doubling, 600, is the whole block
         self.assert_same_ensemble(ens, build_predictive_ensemble(p, q, 600, 2, 9, 300))
+
+    def test_trimmed_ensemble_narrows_its_window(self, monkeypatch):
+        # window 100 -> 400 at 10 dB: the trimmed rows need fewer live levels
+        # than all of the first recursion's, and the trimmed ensemble reads
+        # the same levels as a fresh build of those rows
+        p = ChannelParams(1, SIGMA_6DEG, 10.0)
+        q = PhaseQuantizer.build(SIGMA_6DEG, 100)
+        windows = self.spy_builds(monkeypatch)
+        ens = adaptive_predictive_ensemble(p, q, 600, 2, 0, 100)
+        assert windows == [100] and ens.past_window == 400
+        monkeypatch.undo()
+        first = build_predictive_ensemble(p, q, 600, 2, 0, 100)
+        assert ens.window.shape[0] < first.window.shape[0]
+        self.assert_same_ensemble(ens, build_predictive_ensemble(p, q, 600, 2, 0, 400))
 
     def test_wider_window_needing_a_longer_recursion_is_rebuilt(self, monkeypatch):
         # window 140 -> 280 in 300-step blocks: 280 + 64 steps do not fit
