@@ -71,7 +71,7 @@ def entropy_abs_sq(xi):
         raise DomainError(f"xi must be >= 0, got {xi}")
 
     def integrand(u):
-        logp = -((u - xi) ** 2) + np.log(special.ive(0, 2.0 * xi * u))
+        logp = -((u - xi) ** 2) + np.log(special.i0e(2.0 * xi * u))
         return -2.0 * u * logp * np.exp(logp)
 
     lo = max(0.0, xi - 13.0)

@@ -11,10 +11,11 @@ Two consumers:
     those only.
 
 Both are Monte Carlo means over independent blocks, with the block-level
-standard error of `entropy.mean_se`. All recursions renormalize the state
-vector every step and handle the likelihoods in the log domain with max
-subtraction. The input average of `qam_rate` (the mixture rows) is one
-log-sum-exp kernel, `_add_logsumexp`, over real points, whatever the set.
+standard error of `entropy.mean_se`. Both step one forward filter,
+`_forward_filter`: keep the predictive state, weight it by the likelihood
+row, normalize, predict. The QAM passes hand it the exps of their log rows
+less each row's peak. The input average of `qam_rate` (the mixture rows) is
+one log-sum-exp kernel, `_add_logsumexp`, over real points, whatever the set.
 """
 
 from dataclasses import dataclass, field, replace
@@ -94,31 +95,38 @@ def _check_blocks(params, quantizer, block_length, n_blocks):
         raise ConfigurationError("quantizer was built for a different sigma_delta than the channel")
 
 
-def _forward_loglik(transition, log_rows):
-    """Accumulate log-likelihood of an observation block.
+def _forward_filter(transition, lik):
+    """Predict-weight-normalize over the quantized phase, for the pilot and
+    the QAM recursions alike.
 
-    `log_rows` iterates per-step log-likelihood vectors over the state grid.
-    The state starts from the stationary uniform distribution (which the
-    doubly stochastic transition leaves invariant, so propagating it first
-    is harmless).
+    `lik` holds (n, Q) likelihood rows in the linear domain. From the uniform
+    state predicted once (invariant up to rounding), each step keeps the
+    state, weights it by its row, normalizes by the sum c and predicts.
+    Returns the (n, Q) predictive states and the (n,) log normalizers.
     """
-    q = transition.shape[0]
-    alpha = np.full(q, 1.0 / q)
-    total = 0.0
-    for row in log_rows:
-        peak = row.max()
-        if not np.isfinite(peak):
-            raise NumericUnderflowError("non-finite likelihood row in forward recursion")
-        v = (alpha @ transition) * np.exp(row - peak)
-        c = v.sum()
+    states, norms = np.empty_like(lik), np.empty(len(lik))
+    state = np.full(transition.shape[0], 1.0 / transition.shape[0]) @ transition
+    for l, row in enumerate(lik):
+        states[l] = state
+        v = state * row
+        c = norms[l] = v.sum()
         if not np.isfinite(c) or c <= 0.0:
             raise NumericUnderflowError(
                 "forward-recursion weight underflowed; the phase quantizer is "
                 "too coarse at this SNR"
             )
-        total += np.log(c) + peak
-        alpha = v / c
-    return total
+        state = (v / c) @ transition
+    return states, np.log(norms)
+
+
+def _forward_loglik(transition, log_rows):
+    """Log-likelihood of a block from its (n, Q) log-likelihood rows: each
+    row's peak comes off before the exps, and the filter's log normalizers
+    plus the peaks are summed in step order. A row without a finite peak
+    gives a NaN normalizer, on which the filter raises."""
+    peak = np.max(log_rows, axis=1)
+    log_norms = _forward_filter(transition, np.exp(log_rows - peak[:, None]))[1]
+    return np.cumsum(log_norms + peak)[-1]
 
 
 def _conditional_log_rows(y, x, grid, m):
@@ -338,19 +346,19 @@ def build_predictive_ensemble(
 ):
     """Run the pilot forward recursion and collect predictive densities.
 
-    Pilots are sent at peak power (s^2 = snr); the recursion uses the exact
-    phase likelihood p(u_l | theta_l) = f_phi(u_l - theta_l; snr). Samples
-    are accumulated once the past holds at least `past_window` symbols (and
-    never fewer than 100, the stationarity burn-in). The ensemble keeps the
-    full (N, Q) densities and, for `cond_entropy`, their live window.
+    Pilots are sent at peak power (s^2 = snr); `_forward_filter` weights by
+    the exact phase likelihood p(u_l | theta_l) = f_phi(u_l - theta_l; snr).
+    Its states are kept once the past holds at least `past_window` symbols
+    (and never fewer than 100, the stationarity burn-in). The ensemble keeps
+    the full (N, Q) densities and, for `cond_entropy`, their live window.
+    Nothing here reads params.m: the ensemble is the same for every M.
     """
     _check_blocks(params, quantizer, block_length, n_blocks)
     burn = max(100, int(past_window))
     n = max(int(block_length), burn + 64)
-    q = quantizer.q_levels
     keep = n - burn
 
-    predictive = np.empty((n_blocks * keep, q))
+    predictive = np.empty((n_blocks * keep, quantizer.q_levels))
     theta_out = np.empty(n_blocks * keep)
     z_out = np.empty(n_blocks * keep, dtype=complex)
 
@@ -362,16 +370,8 @@ def build_predictive_ensemble(
         u = np.mod(theta + np.angle(1.0 + z_pilot / np.sqrt(params.snr)), TWO_PI)
         lik = rician_phase_pdf(_wrap_pm_pi(u[:, None] - quantizer.grid[None, :]), params.snr)
 
-        alpha = np.full(q, 1.0 / q)
         base = b * keep
-        for l in range(n):
-            if l >= burn:
-                predictive[base + l - burn] = alpha
-            v = alpha * lik[l]
-            c = v.sum()
-            if not np.isfinite(c) or c <= 0.0:
-                raise NumericUnderflowError("pilot recursion underflowed")
-            alpha = (v / c) @ quantizer.transition
+        predictive[base : base + keep] = _forward_filter(quantizer.transition, lik)[0][burn:]
         theta_out[base : base + keep] = theta[burn:]
         z_out[base : base + keep] = z_test[burn:]
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import special
@@ -16,6 +18,7 @@ from phasecap.errors import ConfigurationError, DomainError, NumericUnderflowErr
 from phasecap.inforate import (
     LOG_PI,
     PhaseQuantizer,
+    _forward_filter,
     _forward_loglik,
     _mixture_log_rows_dense,
     _mixture_log_rows_separable,
@@ -87,6 +90,41 @@ class TestForwardRecursion:
         q = PhaseQuantizer.build(0.3, 16)
         with pytest.raises(NumericUnderflowError):
             _forward_loglik(q.transition, [np.full(16, -np.inf)])
+
+    @staticmethod
+    def path_sums(transition, log_rows):
+        """log p(y^n) and the predictive p(theta_l | y^{l-1}) of each step l,
+        as sums over all Q^n state paths of the chain that starts uniform."""
+        n, q = log_rows.shape
+        paths = np.indices((q,) * n).reshape(n, -1)  # (n, Q^n), one column per path
+        log_w = np.full(paths.shape[1], -np.log(q))
+        predictive = np.empty((n, q))
+        for l in range(n):
+            if l:
+                log_w += np.log(transition[paths[l - 1], paths[l]])
+            w = np.exp(log_w - log_w.max())
+            # fsum rounds each sum over the 32 768 paths once
+            predictive[l] = [math.fsum(w[paths[l] == k]) for k in range(q)]
+            predictive[l] /= math.fsum(w)
+            log_w += log_rows[l, paths[l]]
+        return special.logsumexp(log_w), predictive
+
+    def test_filter_equals_the_sum_over_state_paths(self):
+        # Q = 8, n = 5: 32 768 paths
+        q = PhaseQuantizer.build(0.4, 8)
+        log_rows = np.random.default_rng(3).normal(scale=2.0, size=(5, 8))
+        log_lik, predictive = self.path_sums(q.transition, log_rows)
+        assert abs(_forward_loglik(q.transition, log_rows) - log_lik) < 1e-12
+        states, _ = _forward_filter(q.transition, np.exp(log_rows))
+        assert np.max(np.abs(states - predictive)) < 1e-13
+
+    def test_pilot_recursion_underflow_error(self, monkeypatch):
+        # a pilot likelihood of 0 everywhere reaches the filter's one check
+        monkeypatch.setattr(inforate, "rician_phase_pdf", lambda x, snr: np.zeros_like(x))
+        p = ChannelParams(1, SIGMA_6DEG, 4.0)
+        q = PhaseQuantizer.build(SIGMA_6DEG, 64)
+        with pytest.raises(NumericUnderflowError, match="forward-recursion weight"):
+            build_predictive_ensemble(p, q, block_length=200, n_blocks=1, seed=0)
 
 
 class TestQamRate:
@@ -499,6 +537,16 @@ class TestConditionalPhaseEntropy:
         assert windows == [140, 280]
         monkeypatch.undo()
         self.assert_same_ensemble(ens, build_predictive_ensemble(p, q, 300, 2, 9, 280))
+
+    def test_ensemble_is_shared_across_antenna_counts(self):
+        # the pilot recursion never reads params.m, and the row seed ignores
+        # it: the M=1 and M=2 U rows of one SNR share their ensemble
+        q = PhaseQuantizer.build(SIGMA_6DEG, 100)
+        one, two = (
+            adaptive_predictive_ensemble(ChannelParams(m, SIGMA_6DEG, 50.0), q, 600, 2, 9, 150)
+            for m in (1, 2)
+        )
+        self.assert_same_ensemble(one, two)
 
     def test_xi_domain(self):
         p = ChannelParams(1, SIGMA_6DEG, 4.0)
