@@ -15,7 +15,8 @@ standard error of `entropy.mean_se`. Both step one forward filter,
 `_forward_filter`: keep the predictive state, weight it by the likelihood
 row, normalize, predict. The QAM passes hand it the exps of their log rows
 less each row's peak. The input average of `qam_rate` (the mixture rows) is
-one log-sum-exp kernel, `_add_logsumexp`, over real points, whatever the set.
+one log-sum-exp kernel, `_add_logsumexp`, over real points, whatever the set,
+run one cache-sized row block at a time (exact: every operation is row-wise).
 """
 
 from dataclasses import dataclass, field, replace
@@ -43,6 +44,9 @@ PREDICTIVE_CUT = 1e-18
 # below about -708 is subnormal or 0 and takes a slow path, and a clipped term
 # adds at most e^-700 to a sum that is at least 1, below half an ulp of it.
 EXP_FLOOR = -700.0
+
+# Cells per row block of the mixture rows: a pass over a block stays in L2.
+MIXTURE_BLOCK_CELLS = 2**15
 
 
 def _wrap_pm_pi(x):
@@ -95,28 +99,29 @@ def _check_blocks(params, quantizer, block_length, n_blocks):
         raise ConfigurationError("quantizer was built for a different sigma_delta than the channel")
 
 
-def _forward_filter(transition, lik):
+def _forward_filter(transition, lik, states=None):
     """Predict-weight-normalize over the quantized phase, for the pilot and
     the QAM recursions alike.
 
     `lik` holds (n, Q) likelihood rows in the linear domain. From the uniform
-    state predicted once (invariant up to rounding), each step keeps the
-    state, weights it by its row, normalizes by the sum c and predicts.
-    Returns the (n, Q) predictive states and the (n,) log normalizers.
+    state predicted once (invariant up to rounding), each step keeps the state
+    (in `states[l]`, if given), weights it by its row, normalizes by the sum c
+    and predicts. Returns the (n,) log normalizers.
     """
-    states, norms = np.empty_like(lik), np.empty(len(lik))
+    norms = np.empty(len(lik))
     state = np.full(transition.shape[0], 1.0 / transition.shape[0]) @ transition
+    v = np.empty_like(state)
     for l, row in enumerate(lik):
-        states[l] = state
-        v = state * row
-        c = norms[l] = v.sum()
-        if not np.isfinite(c) or c <= 0.0:
+        if states is not None:
+            states[l] = state
+        c = norms[l] = np.multiply(state, row, out=v).sum()
+        if not 0.0 < c < np.inf:
             raise NumericUnderflowError(
                 "forward-recursion weight underflowed; the phase quantizer is "
                 "too coarse at this SNR"
             )
-        state = (v / c) @ transition
-    return states, np.log(norms)
+        np.dot(np.divide(v, c, out=v), transition, out=state)
+    return np.log(norms)
 
 
 def _forward_loglik(transition, log_rows):
@@ -125,8 +130,9 @@ def _forward_loglik(transition, log_rows):
     plus the peaks are summed in step order. A row without a finite peak
     gives a NaN normalizer, on which the filter raises."""
     peak = np.max(log_rows, axis=1)
-    log_norms = _forward_filter(transition, np.exp(log_rows - peak[:, None]))[1]
-    return np.cumsum(log_norms + peak)[-1]
+    with np.errstate(invalid="ignore"):  # -inf - -inf on a row with no finite peak
+        lik = np.exp(log_rows - peak[:, None])
+    return np.cumsum(_forward_filter(transition, lik) + peak)[-1]
 
 
 def _conditional_log_rows(y, x, grid, m):
@@ -187,20 +193,25 @@ def _mixture_log_rows_separable(y, symbols, grid, m):
     p = e^{j theta} conj(y_i): the points (Re s, Im s) against (Re p, -Im p).
     A product set {a + jb} (square QAM: distinct symbols and #re * #im ==
     #symbols) factors once more, into one sum over the levels of each PAM
-    axis against its own projection.
+    axis against its own projection. The rows go one block of about
+    MIXTURE_BLOCK_CELLS cells at a time, so that the passes stay in cache;
+    every operation is row-wise, so that changes no bit.
     """
     re, im = np.unique(symbols.real), np.unique(symbols.imag)
     rows = np.zeros((y.shape[0], grid.size))
-    proj = _projections(y, grid)
-    if re.size * im.size == symbols.size:
-        for levels, c in zip((re, im) * m, proj):
-            _add_logsumexp(rows, (c,), levels[:, None])
-    else:
-        points = np.stack([symbols.real, symbols.imag], axis=1)
-        for c in zip(proj, proj):  # (Re p, -Im p) of each antenna
-            _add_logsumexp(rows, c, points)
-    rows -= m * np.log(symbols.size)
-    rows += (-np.sum(np.abs(y) ** 2, axis=1) - m * LOG_PI)[:, None]
+    step = max(1, MIXTURE_BLOCK_CELLS // grid.size)
+    for start in range(0, y.shape[0], step):
+        yb, out = y[start : start + step], rows[start : start + step]
+        proj = _projections(yb, grid)
+        if re.size * im.size == symbols.size:
+            for levels, c in zip((re, im) * m, proj):
+                _add_logsumexp(out, (c,), levels[:, None])
+        else:
+            points = np.stack([symbols.real, symbols.imag], axis=1)
+            for c in zip(proj, proj):  # (Re p, -Im p) of each antenna
+                _add_logsumexp(out, c, points)
+        out -= m * np.log(symbols.size)
+        out += (-np.sum(np.abs(yb) ** 2, axis=1) - m * LOG_PI)[:, None]
     return rows
 
 
@@ -371,7 +382,10 @@ def build_predictive_ensemble(
         lik = rician_phase_pdf(_wrap_pm_pi(u[:, None] - quantizer.grid[None, :]), params.snr)
 
         base = b * keep
-        predictive[base : base + keep] = _forward_filter(quantizer.transition, lik)[0][burn:]
+        states = np.empty_like(lik)
+        _forward_filter(quantizer.transition, lik, states)
+        predictive[base : base + keep] = states[burn:]
+        del states  # not held while the next block's likelihood is built
         theta_out[base : base + keep] = theta[burn:]
         z_out[base : base + keep] = z_test[burn:]
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -87,9 +88,12 @@ class TestForwardRecursion:
         assert _forward_loglik(q.transition, rows) == pytest.approx(sum(consts), abs=1e-12)
 
     def test_underflow_error(self):
+        # the error comes without a RuntimeWarning for the row's -inf - -inf
         q = PhaseQuantizer.build(0.3, 16)
-        with pytest.raises(NumericUnderflowError):
-            _forward_loglik(q.transition, [np.full(16, -np.inf)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericUnderflowError):
+                _forward_loglik(q.transition, [np.full(16, -np.inf)])
 
     @staticmethod
     def path_sums(transition, log_rows):
@@ -115,8 +119,15 @@ class TestForwardRecursion:
         log_rows = np.random.default_rng(3).normal(scale=2.0, size=(5, 8))
         log_lik, predictive = self.path_sums(q.transition, log_rows)
         assert abs(_forward_loglik(q.transition, log_rows) - log_lik) < 1e-12
-        states, _ = _forward_filter(q.transition, np.exp(log_rows))
+        states = np.empty_like(log_rows)
+        _forward_filter(q.transition, np.exp(log_rows), states)
         assert np.max(np.abs(states - predictive)) < 1e-13
+
+    def test_stored_states_leave_the_normalizers_unchanged(self):
+        q = PhaseQuantizer.build(SIGMA_6DEG, 200)
+        lik = np.exp(np.random.default_rng(5).normal(scale=3.0, size=(300, 200)))
+        stored = _forward_filter(q.transition, lik, np.empty_like(lik))
+        assert np.array_equal(stored, _forward_filter(q.transition, lik))
 
     def test_pilot_recursion_underflow_error(self, monkeypatch):
         # a pilot likelihood of 0 everywhere reaches the filter's one check
@@ -295,6 +306,25 @@ class TestQamRate:
         clipped = _mixture_log_rows_separable(y, symbols, grid, m)
         monkeypatch.setattr(inforate, "EXP_FLOOR", -np.inf)
         assert np.array_equal(clipped, _mixture_log_rows_separable(y, symbols, grid, m))
+
+    @pytest.mark.parametrize(
+        "m, constellation",
+        [pytest.param(m, qam_constellation(64), id=f"{m}-qam64") for m in (1, 2)]
+        + [pytest.param(2, psk_constellation(8), id="2-psk8")]
+        + [pytest.param(2, ROTATED_QAM16, id="2-rotated_qam16")],
+    )
+    def test_row_blocks_equal_one_block(self, m, constellation, monkeypatch):
+        # every operation is row-wise, so blocking cannot move a bit; the
+        # last block is ragged
+        grid = PhaseQuantizer.build(SIGMA_6DEG, 64).grid
+        step = inforate.MIXTURE_BLOCK_CELLS // grid.size
+        p = ChannelParams(m, SIGMA_6DEG, 100.0)
+        symbols = constellation.scaled_symbols(p.snr, m)
+        x = symbols[np.random.default_rng(m).integers(0, symbols.size, size=(2 * step + 37, m))]
+        y, _ = simulate(p, x, seed=[symbols.size, m])
+        blocked = _mixture_log_rows_separable(y, symbols, grid, m)
+        monkeypatch.setattr(inforate, "MIXTURE_BLOCK_CELLS", len(y) * grid.size)
+        assert np.array_equal(blocked, _mixture_log_rows_separable(y, symbols, grid, m))
 
     def test_unequally_spaced_product_set(self):
         # a product set whose levels are not equally spaced: the peak must
