@@ -95,6 +95,7 @@ class _DualityOptimizer:
     convex in alpha (the prefix has second derivative psi'(alpha) - 1/alpha
     > 0), so it has one minimum in log alpha. `cond_entropy(xi)` returns (value_nats,
     std_error_nats) of the conditional-entropy term; its std error is the bound's.
+    A winning grid end is searched toward only if the line inside it climbs.
     """
 
     def __init__(self, params, cond_entropy):
@@ -119,9 +120,15 @@ class _DualityOptimizer:
 
     def inner_max(self, alpha):
         """(max, argmax) of A - alpha B over xi: a golden search between the
-        grid neighbours of the best grid line."""
+        grid neighbours of the best grid line, unless that is a grid end whose
+        line the xi at xi_tol inside it does not beat; then the end is kept."""
         a, b, _ = np.array([self.terms(x) for x in self.grid]).T
-        i = int(np.argmax(a - alpha * b))
+        g = a - alpha * b
+        i = int(np.argmax(g))
+        if i in (0, self.grid.size - 1):
+            a_in, b_in, _ = self.terms(self.grid[i] + (self.xi_tol if i == 0 else -self.xi_tol))
+            if a_in - alpha * b_in <= g[i]:
+                return g[i], float(self.grid[i])
         lo = self.grid[max(i - 1, 0)]
         hi = self.grid[min(i + 1, self.grid.size - 1)]
 

@@ -33,7 +33,7 @@ from .channel import (
     singular_value_bounds,
     wavelength_from_ghz,
 )
-from .entropy import MIN_N_SAMPLES
+from .entropy import MIN_N_SAMPLES, entropy_abs_sq
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -382,8 +382,10 @@ def run_sweep(config, progress=None):
     Returns (csv_path, failed_count). Rows are cached per config hash in an
     append-only directory with atomic replacement, as soon as each is done;
     a failed row goes to the CSV only. A row that raises stops no other
-    row: every task runs, then the first exception is re-raised.
+    row: every task runs, then the first exception is re-raised. The e2
+    memo starts empty, so a sweep's work does not depend on earlier ones.
     """
+    entropy_abs_sq.cache_clear()
     tasks = [(kind, snr) for kind in config.kinds for snr in config.snr_grid_db()]
     cache_dir = config.cache_dir
     os.makedirs(cache_dir, exist_ok=True)

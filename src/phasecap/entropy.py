@@ -25,6 +25,8 @@ MIN_N_SAMPLES = 100
 NODES_PER_UNIT = 128
 # Largest von Mises concentration: scipy's ive returns NaN from just below 2**30 on.
 KAPPA_MAX = 2.0**30 - 1.0
+# Memoized e2 values: a figure sweep evaluates about 11 SNRs x 65-89 xi.
+E2_MEMO_SIZE = 4096
 
 
 def mean_se(samples):
@@ -61,11 +63,14 @@ def expect_log_noncentral(xi, m):
     return float(np.log(lam) + special.exp1(lam) + tail)
 
 
+@lru_cache(maxsize=E2_MEMO_SIZE)
 def entropy_abs_sq(xi):
     """Differential entropy of t = |xi + z|^2, z ~ CN(0, 1).
 
     The density is p(t) = exp(-(t + xi^2)) I0(2 xi sqrt(t)); the entropy is
-    integrated in u = sqrt(t) which removes the origin singularity.
+    integrated in u = sqrt(t) which removes the origin singularity. The
+    duality kinds of one SNR share the xi grid, so values are memoized per
+    xi for one sweep: `cli.run_sweep` clears the memo when it starts.
     """
     if xi < 0:
         raise DomainError(f"xi must be >= 0, got {xi}")

@@ -17,10 +17,13 @@ from phasecap.bounds import (
     upper_bound_Us,
 )
 from phasecap.channel import ChannelParams
+from phasecap.cli import derive_seed
 from phasecap.entropy import LOG_2PI, entropy_abs_sq, expect_log_noncentral
 from phasecap.errors import DomainError, NumericUnderflowError, OptimizationError
 
 SIGMA_6DEG = np.deg2rad(6.0)
+# The master seed of the committed figure rows and of the benchmark rows.
+ACCEPTANCE_SEED = 20260809
 
 
 class TestDualityParams:
@@ -289,13 +292,33 @@ class TestOptimizerInternals:
         g_max, xi_star = opt.inner_max(0.9)
         a, b, _ = np.array([opt.terms(x) for x in opt.grid]).T
         # the max is the cached line of its argmax; the golden search in xi
-        # never evaluates the ends of its bracket, so at an end it may fall
-        # short of the grid max, by less than the tie under which minimize
-        # counts a refined xi as not beating the envelope
+        # never evaluates the ends of its bracket, so when it runs next to an
+        # end it may fall short of the grid max, by less than the tie under
+        # which minimize counts a refined xi as not beating the envelope
         a_star, b_star, _ = opt.terms(xi_star)
         assert g_max == a_star - 0.9 * b_star
         assert g_max >= np.max(a - 0.9 * b) - bounds.XI_TIE_NATS
         assert 0.0 <= xi_star <= np.sqrt(50.0)
+
+    @pytest.mark.parametrize("alpha, at_root", [(0.9, False), (0.5, True)])
+    def test_line_climbing_inward_from_the_winning_end_is_searched(self, alpha, at_root):
+        # h_c dips within 0.02 of one grid end, so the best grid line is that
+        # end's but the line at xi_tol inside it is higher: the golden search
+        # runs and returns an interior xi above the grid max
+        root = np.sqrt(50.0)
+        end = root if at_root else 0.0
+
+        def cond_entropy(xi):
+            d = abs(xi - end)
+            return LOG_2PI - d * np.exp(-d / 0.02), 0.0
+
+        opt = _DualityOptimizer(ChannelParams(1, SIGMA_6DEG, 50.0), cond_entropy)
+        a, b, _ = np.array([opt.terms(x) for x in opt.grid]).T
+        assert opt.grid[int(np.argmax(a - alpha * b))] == end
+        g_max, xi_star = opt.inner_max(alpha)
+        assert g_max > np.max(a - alpha * b)
+        assert 0.0 < xi_star < root and abs(xi_star - end) < opt.grid[1]
+        assert len(opt._terms) > opt.grid.size + 1
 
 
 @pytest.fixture
@@ -355,9 +378,25 @@ class TestEnvelopeOptimizer:
         assert rec.meta["xi_evals"] == len(opt._terms) == opt.misses
 
     def test_memoryless_xi_evaluations(self, optimizers):
-        # the 64-point grid plus one refinement; the per-alpha search took 110
-        memoryless_plus_correction(ChannelParams(1, SIGMA_6DEG, 100.0))
-        assert optimizers[0].misses <= 90
+        # xi* is a grid end whose line the xi at xi_tol inside it does not
+        # beat: the 64-point grid plus that one xi, with no golden search
+        # (a search toward the end took 87, the per-alpha search 110)
+        rec = memoryless_plus_correction(ChannelParams(1, SIGMA_6DEG, 100.0))
+        (opt,) = optimizers
+        assert rec.meta["xi_evals"] == 65 == opt.misses
+        assert rec.opt_xi in (0.0, 10.0)
+        inward = rec.opt_xi + (opt.xi_tol if rec.opt_xi == 0.0 else -opt.xi_tol)
+        assert sorted(set(opt._terms) - set(opt.grid)) == [inward]
+
+    def test_tied_bench_row_keeps_its_line_near_the_origin(self, optimizers):
+        # U at M=1, 20 dB with the acceptance seed and the figure budgets: the
+        # lines of xi = 0 and xi = sqrt(rho) tie at alpha*, and the line that
+        # climbs inward from xi = 0 peaks near xi = 0.0618
+        seed = derive_seed(ACCEPTANCE_SEED, "U", 20.0)
+        rec = upper_bound_U(ChannelParams(1, SIGMA_6DEG, 100.0), seed=seed)
+        (opt,) = optimizers
+        assert any(0.03 < x < 0.1 for x in opt._terms)
+        assert rec.meta["xi_runner_up"] == pytest.approx(0.0618, abs=5e-4)
 
     @pytest.mark.parametrize("m, rho", [(1, 100.0), (2, 10.0)])
     def test_memoryless_optimum_is_a_tie_of_the_two_end_amplitudes(self, m, rho):

@@ -8,7 +8,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from phasecap import cli
+from phasecap import cli, mathcore
 from phasecap.bounds import upper_bound_U
 from phasecap.channel import (
     ChannelParams,
@@ -182,6 +182,32 @@ class TestRunSweep:
         p1, _ = run_sweep(c1)
         p2, _ = run_sweep(c2)
         assert cells_but_runtime(p1) == cells_but_runtime(p2)
+
+    def test_sweeps_repeat_their_quadrature_work(self, tmp_path, monkeypatch):
+        # e2 is memoized per xi for one sweep, so a second sweep in the same
+        # process recomputes it rather than reading the first sweep's values
+        calls = []
+        integrate = mathcore.Quadrature.integrate
+
+        def counted(quad, f, a, b):
+            calls.append((a, b))
+            return integrate(quad, f, a, b)
+
+        monkeypatch.setattr(mathcore.Quadrature, "integrate", counted)
+        counts = []
+        for name in ("first", "second"):
+            config = make_config(
+                tmp_path,
+                kinds=("memoryless_plus_corr",),
+                start_db=10.0,
+                stop_db=10.0,
+                cache_dir=str(tmp_path / name),
+                csv_path=str(tmp_path / f"{name}.csv"),
+            )
+            calls.clear()
+            run_sweep(config)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 64
 
     def test_cache_invalidation_only_affected_rows(self, tmp_path):
         config = make_config(

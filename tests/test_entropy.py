@@ -99,6 +99,14 @@ class TestEntropyAbsSq:
         with pytest.raises(DomainError):
             entropy_abs_sq(-0.5)
 
+    def test_memo_hit_equals_a_fresh_quadrature(self):
+        entropy_abs_sq.cache_clear()
+        xis = [0.0, 0.37, 3.1622776601683795, 10.0]
+        first = [entropy_abs_sq(x) for x in xis]
+        again = [entropy_abs_sq(x) for x in xis]
+        assert entropy_abs_sq.cache_info().hits == len(xis)
+        assert again == first == [entropy_abs_sq.__wrapped__(x) for x in xis]
+
 
 class TestEntropyDeltaPlusPhase:
     def test_zero_amplitude_uniform(self):
