@@ -2,7 +2,6 @@
 Wiener phase noise under a peak-power constraint."""
 
 from .bounds import (
-    BoundRecord,
     asymptotic_capacity,
     avg_peak_gap,
     d_alpha,
@@ -23,13 +22,13 @@ from .channel import (
     wavelength_from_ghz,
 )
 from .entropy import (
+    BoundRecord,
     entropy_abs_sq,
     entropy_delta_plus_phase,
     expect_log_noncentral,
 )
 from .inforate import (
     PhaseQuantizer,
-    RateEstimate,
     qam_rate,
 )
 from .mathcore import (

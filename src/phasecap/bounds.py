@@ -5,13 +5,12 @@ All internal arithmetic is in nats; `BoundRecord` values are in bits per
 channel use (the reporting unit).
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 from scipy.special import gammaln
 
 from .entropy import (
-    LOG_2PI, clear_tables, entropy_abs_sq, entropy_delta_plus_phase, expect_log_noncentral
+    LOG_2PI, BoundRecord, clear_tables, entropy_abs_sq, entropy_delta_plus_phase,
+    expect_log_noncentral,
 )
 from .errors import DomainError, OptimizationError
 from .inforate import PhaseQuantizer, adaptive_predictive_ensemble
@@ -19,36 +18,12 @@ from .mathcore import wrapped_gaussian_entropy
 
 LN2 = float(np.log(2.0))
 
-# Kinds of the records built here; the sweep runner adds qam_lower and the
-# nonunitary kinds on top of them.
-BOUND_KINDS = ("U", "U_s", "asymptotic", "memoryless_plus_corr")
-
 
 def d_alpha(alpha, m):
     """Duality constant log Gamma(alpha) - log Gamma(m) - m + 1."""
     if alpha <= 0:
         raise DomainError(f"alpha must be > 0, got {alpha}")
     return gammaln(alpha) - gammaln(m) - m + 1.0
-
-
-@dataclass(frozen=True)
-class BoundRecord:
-    """One bound result row."""
-
-    kind: str
-    value_bits: float
-    std_error_bits: float = 0.0
-    opt_alpha: float | None = None
-    opt_xi: float | None = None
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in BOUND_KINDS:
-            raise DomainError(f"unknown bound kind {self.kind!r}")
-        if not np.isfinite(self.value_bits):
-            raise DomainError(f"non-finite bound value for kind {self.kind!r}")
-        if self.std_error_bits < 0:
-            raise DomainError("std_error_bits must be >= 0")
 
 
 def _golden_min(f, lo, hi, abs_tol, max_iter=400):
@@ -184,10 +159,10 @@ def _check_params(params):
         raise DomainError("the duality bounds require sigma_delta > 0")
 
 
-def _duality_record(params, kind, cond_entropy, meta):
+def _duality_record(params, cond_entropy, meta):
     """Minimize the duality bound and report it in bits."""
     value, se, alpha, xi, diagnostics = _DualityOptimizer(params, cond_entropy).minimize()
-    return BoundRecord(kind, value / LN2, se / LN2, alpha, xi, {**meta, **diagnostics})
+    return BoundRecord(value / LN2, se / LN2, alpha, xi, {**meta, **diagnostics})
 
 
 def upper_bound_U(
@@ -216,7 +191,7 @@ def upper_bound_U(
         "q_levels": quantizer.q_levels,
         "seed": int(seed),
     }
-    return _duality_record(params, "U", ensemble.cond_entropy, meta)
+    return _duality_record(params, ensemble.cond_entropy, meta)
 
 
 def upper_bound_Us(params, n_samples=100_000, seed=0):
@@ -228,7 +203,6 @@ def upper_bound_Us(params, n_samples=100_000, seed=0):
     try:
         return _duality_record(
             params,
-            "U_s",
             lambda xi: entropy_delta_plus_phase(xi, params.sigma_delta, n_samples, seed),
             meta,
         )
@@ -242,7 +216,7 @@ def memoryless_plus_correction(params):
     _check_params(params)
     h_delta = wrapped_gaussian_entropy(params.sigma_delta)
     meta = {"h_delta_nats": h_delta}
-    return _duality_record(params, "memoryless_plus_corr", lambda xi: (h_delta, 0.0), meta)
+    return _duality_record(params, lambda xi: (h_delta, 0.0), meta)
 
 
 def asymptotic_capacity_nats(m, sigma_delta, snr):
@@ -267,7 +241,7 @@ def asymptotic_capacity_nats(m, sigma_delta, snr):
 def asymptotic_capacity(params):
     """High-SNR closed-form capacity expression as a BoundRecord (bits)."""
     value = asymptotic_capacity_nats(params.m, params.sigma_delta, params.snr)
-    return BoundRecord("asymptotic", float(value) / LN2)
+    return BoundRecord(float(value) / LN2)
 
 
 def avg_peak_gap(m):

@@ -17,7 +17,7 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from typing import NamedTuple
 
@@ -57,51 +57,23 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Parsed sweep configuration; `CONFIG_FIELDS` maps the file keys to it."""
-
-    antennas: int = 1
-    sigma_delta_degrees: float = 6.0
-    h_source: str = "unitary"
-    start_db: float = 10.0
-    stop_db: float = 30.0
-    step_db: float = 2.0
-    kinds: tuple = ("asymptotic",)
-    n_samples: int = 100_000
-    block_length: int = 2000
-    n_blocks: int = 4
-    q_levels: int = 200
-    past_window: int = 200
-    constellation: str = "qam64"
-    master_seed: int = 1
-    parallelism: int = 0
-    csv_path: str = "results.csv"
-    cache_dir: str = ".phasecap-cache"
-
-    def snr_grid_db(self):
-        if self.step_db <= 0:
-            raise UsageError("step_db must be > 0")
-        count = int(round((self.stop_db - self.start_db) / self.step_db)) + 1
-        grid = self.start_db + self.step_db * np.arange(count)
-        return [float(s) for s in grid if s <= self.stop_db + 1e-9]
-
-    def sigma_delta_radians(self):
-        return float(np.deg2rad(self.sigma_delta_degrees))
-
-
 def _parse_kinds(text):
     kinds = tuple(k.strip() for k in text.split(",") if k.strip())
     if not kinds:
         raise UsageError("kinds list is empty")
     for i, k in enumerate(kinds):
-        if k not in VALID_KINDS:
-            raise UsageError(
-                f"unknown bound kind {k!r}; valid kinds: {', '.join(VALID_KINDS)}"
-            )
+        if k not in KINDS:
+            raise UsageError(f"unknown bound kind {k!r}; valid kinds: {', '.join(KINDS)}")
         if k in kinds[:i]:
             raise UsageError(f"bound kind {k!r} is listed more than once")
     return kinds
+
+
+def _finite_float(text):
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"must be finite, got {value}")
+    return value
 
 
 def _bounded(parse, low, strict=False):
@@ -120,34 +92,55 @@ def _parse_constellation(text):
     return text
 
 
-# (section, key, ExperimentConfig field, parser), in canonical order. Each
-# parser rejects what every row using the field would reject.
-CONFIG_FIELDS = (
-    ("channel", "antennas", "antennas", _bounded(int, 1)),
-    ("channel", "sigma_delta_degrees", "sigma_delta_degrees", _bounded(float, 0, strict=True)),
-    ("channel", "h_matrix", "h_source", str),
-    ("sweep", "start_db", "start_db", float),
-    ("sweep", "stop_db", "stop_db", float),
-    ("sweep", "step_db", "step_db", float),
-    ("sweep", "kinds", "kinds", _parse_kinds),
-    ("mc", "n_samples", "n_samples", _bounded(int, MIN_N_SAMPLES)),
-    ("mc", "block_length", "block_length", _bounded(int, inforate.MIN_BLOCK_LENGTH)),
-    ("mc", "n_blocks", "n_blocks", _bounded(int, inforate.MIN_N_BLOCKS)),
-    ("mc", "q_levels", "q_levels", _bounded(int, inforate.MIN_Q_LEVELS)),
-    ("mc", "past_window", "past_window", int),
-    ("mc", "constellation", "constellation", _parse_constellation),
-    ("run", "master_seed", "master_seed", int),
-    ("run", "parallelism", "parallelism", int),
-    ("output", "csv", "csv_path", str),
-    ("output", "cache_dir", "cache_dir", str),
-)
+def _option(default, section, parse, key=None):
+    """A config field set by `key = value` (key defaults to the field name) under [section].
+    `parse` rejects what every row using the field would reject."""
+    return field(default=default, metadata={"section": section, "key": key, "parse": parse})
+
+
+def _file_key(f):
+    return f.metadata["key"] or f.name
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Parsed sweep configuration. Each field declares where a config file
+    sets it and how its value is parsed; the fields are in canonical order."""
+
+    antennas: int = _option(1, "channel", _bounded(int, 1))
+    sigma_delta_degrees: float = _option(6.0, "channel", _bounded(_finite_float, 0, strict=True))
+    h_source: str = _option("unitary", "channel", str, key="h_matrix")
+    start_db: float = _option(10.0, "sweep", _finite_float)
+    stop_db: float = _option(30.0, "sweep", _finite_float)
+    step_db: float = _option(2.0, "sweep", _finite_float)
+    kinds: tuple = _option(("asymptotic",), "sweep", _parse_kinds)
+    n_samples: int = _option(100_000, "mc", _bounded(int, MIN_N_SAMPLES))
+    block_length: int = _option(2000, "mc", _bounded(int, inforate.MIN_BLOCK_LENGTH))
+    n_blocks: int = _option(4, "mc", _bounded(int, inforate.MIN_N_BLOCKS))
+    q_levels: int = _option(200, "mc", _bounded(int, inforate.MIN_Q_LEVELS))
+    past_window: int = _option(200, "mc", int)
+    constellation: str = _option("qam64", "mc", _parse_constellation)
+    master_seed: int = _option(1, "run", int)
+    parallelism: int = _option(0, "run", int)
+    csv_path: str = _option("results.csv", "output", str, key="csv")
+    cache_dir: str = _option(".phasecap-cache", "output", str)
+
+    def snr_grid_db(self):
+        if self.step_db <= 0:
+            raise UsageError("step_db must be > 0")
+        count = int(round((self.stop_db - self.start_db) / self.step_db)) + 1
+        grid = self.start_db + self.step_db * np.arange(count)
+        return [float(s) for s in grid if s <= self.stop_db + 1e-9]
+
+    def sigma_delta_radians(self):
+        return float(np.deg2rad(self.sigma_delta_degrees))
 
 
 def parse_config(text, base_dir=""):
     """Parse config text; raises UsageError with line numbers on bad input.
     A relative h_matrix path is joined to `base_dir` (default: the working directory)."""
-    fields = {(sec, key): (name, parse) for sec, key, name, parse in CONFIG_FIELDS}
-    sections = {sec for sec, _ in fields}
+    table = {(f.metadata["section"], _file_key(f)): f for f in fields(ExperimentConfig)}
+    sections = {sec for sec, _ in table}
     values = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -165,11 +158,11 @@ def parse_config(text, base_dir=""):
             raise UsageError(f"line {lineno}: key outside any [section]")
         key, _, val = line.partition("=")
         key = key.strip().lower()
-        if (section, key) not in fields:
+        if (section, key) not in table:
             raise UsageError(f"line {lineno}: unknown key {key!r} in [{section}]")
-        name, parse = fields[(section, key)]
+        f = table[(section, key)]
         try:
-            values[name] = parse(val.strip())
+            values[f.name] = f.metadata["parse"](val.strip())
         except ValueError as exc:
             raise UsageError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
 
@@ -198,12 +191,12 @@ def parse_config_file(path):
 def canonical_text(config):
     """Canonical config serialization; parse(canonical(parse(s))) == parse(s)."""
     lines, section = [], None
-    for sec, key, name, _ in CONFIG_FIELDS:
-        if sec != section:
-            section = sec
-            lines.append(f"[{sec}]")
-        value = getattr(config, name)
-        lines.append(f"{key} = {', '.join(value) if isinstance(value, tuple) else value}")
+    for f in fields(ExperimentConfig):
+        if f.metadata["section"] != section:
+            section = f.metadata["section"]
+            lines.append(f"[{section}]")
+        value = getattr(config, f.name)
+        lines.append(f"{_file_key(f)} = {', '.join(value) if isinstance(value, tuple) else value}")
     return "\n".join(lines) + "\n"
 
 
@@ -251,57 +244,54 @@ def _atomic_write(path, data):
         raise
 
 
-def _record_cells(rec):
-    """(value, std error, opt_alpha, opt_xi, n_samples) of a BoundRecord."""
-    n_samples = rec.meta.get("n_samples", 0)
-    return rec.value_bits, rec.std_error_bits, rec.opt_alpha, rec.opt_xi, n_samples
-
-
 # The bound and rate functions are looked up at call time, so that a patched
 # module attribute is the one a row calls.
-def _asymptotic(params, config, seed):
-    return _record_cells(bounds_mod.asymptotic_capacity(params))
+def _asymptotic(params, seed):
+    return bounds_mod.asymptotic_capacity(params)
 
 
-def _memoryless_plus_corr(params, config, seed):
-    return _record_cells(bounds_mod.memoryless_plus_correction(params))
+def _memoryless_plus_corr(params, seed):
+    return bounds_mod.memoryless_plus_correction(params)
 
 
-def _upper_U(params, config, seed):
-    return _record_cells(
-        bounds_mod.upper_bound_U(
-            params,
-            q_levels=config.q_levels,
-            block_length=config.block_length,
-            n_blocks=config.n_blocks,
-            past_window=config.past_window,
-            seed=seed,
-        )
+def _upper_U(params, seed, block_length, n_blocks, q_levels, past_window):
+    return bounds_mod.upper_bound_U(
+        params,
+        q_levels=q_levels,
+        block_length=block_length,
+        n_blocks=n_blocks,
+        past_window=past_window,
+        seed=seed,
     )
 
 
-def _upper_Us(params, config, seed):
-    return _record_cells(bounds_mod.upper_bound_Us(params, n_samples=config.n_samples, seed=seed))
+def _upper_Us(params, seed, n_samples):
+    return bounds_mod.upper_bound_Us(params, n_samples=n_samples, seed=seed)
 
 
-def _qam_lower(params, config, seed):
-    est = inforate.qam_rate(
+def _qam_lower(params, seed, block_length, n_blocks, q_levels, constellation):
+    return inforate.qam_rate(
         params,
-        constellation_by_name(config.constellation),
-        inforate.PhaseQuantizer.build(params.sigma_delta, config.q_levels),
-        config.block_length,
-        config.n_blocks,
+        constellation_by_name(constellation),
+        inforate.PhaseQuantizer.build(params.sigma_delta, q_levels),
+        block_length,
+        n_blocks,
         seed,
     )
-    return est.rate, est.std_error, None, None, config.block_length * config.n_blocks
 
 
 class Kind(NamedTuple):
-    """How the sweep computes one kind of row."""
+    """How the sweep computes one kind of row.
+
+    `compute(params, seed, **{f: getattr(config, f) for f in fields})`
+    returns the row's `BoundRecord`. Its parameters beyond (params, seed)
+    are exactly `fields`, so a compute that reads a config field its cache
+    key leaves out cannot be called.
+    """
 
     fields: tuple  # config fields in the row's cache key, beyond the common ones
     snr_scale: object  # None, or max/min: the SNR is scaled by that eigenvalue of H^H H
-    compute: object  # (params, config, seed) -> (value, se, opt_alpha, opt_xi, n_samples)
+    compute: object  # (params, seed, **fields) -> BoundRecord
     version: int = 0  # numerics version, bumped whenever the kind's rows change
 
 
@@ -317,11 +307,12 @@ KINDS = {
     "nonunitary_upper": Kind(_U_FIELDS, max, _upper_U, version=5),
     "nonunitary_lower": Kind(_QAM_FIELDS, min, _qam_lower, version=3),
 }
-VALID_KINDS = tuple(KINDS)
 
 
 def compute_row(config_dict, kind, snr_db):
-    """Compute one (kind, snr) row. Top-level so worker processes can run it."""
+    """Compute one (kind, snr) row from `asdict(config)`. Top-level so worker
+    processes can run it. A row whose numerics underflow or whose optimizer
+    does not settle comes back as a failed row with its reason."""
     config = ExperimentConfig(**config_dict)
     if kind not in KINDS:
         raise UsageError(f"unknown kind {kind!r}")
@@ -335,20 +326,20 @@ def compute_row(config_dict, kind, snr_db):
             h = load_channel_matrix(config.h_source)
             snr = spec.snr_scale(singular_value_bounds(h)) * snr
         params = ChannelParams(config.antennas, config.sigma_delta_radians(), snr)
-        cells = spec.compute(params, config, seed)
+        rec = spec.compute(params, seed, **{f: getattr(config, f) for f in spec.fields})
     except (NumericUnderflowError, OptimizationError) as exc:
-        cells = (float("nan"), float("nan"), None, None, 0)
+        nan = float("nan")
         row.update(kind="failed", error=f"{kind}: {type(exc).__name__}: {exc}")
-    value, std, opt_alpha, opt_xi, n_samples = cells
-    row.update(
-        value_bits=float(value),
-        std_error_bits=float(std),
-        opt_alpha=opt_alpha,
-        opt_xi=opt_xi,
-        n_samples=int(n_samples),
-        seed=int(seed),
-        runtime_s=time.perf_counter() - started,
-    )
+        row.update(value_bits=nan, std_error_bits=nan, opt_alpha=None, opt_xi=None, n_samples=0)
+    else:
+        row.update(
+            value_bits=float(rec.value_bits),
+            std_error_bits=float(rec.std_error_bits),
+            opt_alpha=rec.opt_alpha,
+            opt_xi=rec.opt_xi,
+            n_samples=int(rec.meta.get("n_samples", 0)),
+        )
+    row.update(seed=int(seed), runtime_s=time.perf_counter() - started)
     return row
 
 
@@ -401,7 +392,7 @@ def run_sweep(config, progress=None):
         else:
             pending.append((kind, snr, path))
 
-    config_dict = {f: getattr(config, f) for f in config.__dataclass_fields__}
+    config_dict = asdict(config)
     workers = config.parallelism if config.parallelism > 0 else (os.cpu_count() or 1)
     error = None
     with ExitStack() as stack:

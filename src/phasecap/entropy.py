@@ -5,9 +5,11 @@ and Kummer functions); the entropy of |xi + z|^2 is a quadrature against its
 Bessel density; Monte Carlo is used only for the outer amplitude average of
 the one-step conditional entropy, whose draws and kappa tables are memoized
 for one U_s row. All values are in nats. `mean_se` is the one (mean,
-standard error) estimator of every Monte Carlo term in the package.
+standard error) estimator of every Monte Carlo term in the package, and
+`BoundRecord` the one result type of every bound and rate.
 """
 
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -35,6 +37,28 @@ def mean_se(samples):
     n = samples.size
     se = float(samples.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return float(samples.mean()), se
+
+
+@dataclass(frozen=True)
+class BoundRecord:
+    """One bound or rate, in bits per channel use, with its standard error.
+
+    `opt_alpha` and `opt_xi` are the duality optimum (None for the closed
+    form and the QAM rates); `meta` holds the row's diagnostics, and its
+    `n_samples` is the row's Monte Carlo sample count, if it has one.
+    """
+
+    value_bits: float
+    std_error_bits: float = 0.0
+    opt_alpha: float | None = None
+    opt_xi: float | None = None
+    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not np.isfinite(self.value_bits):
+            raise DomainError(f"non-finite value {self.value_bits}")
+        if self.std_error_bits < 0:
+            raise DomainError("std_error_bits must be >= 0")
 
 
 def sample_circular_gaussian(rng, size):

@@ -25,7 +25,7 @@ import numpy as np
 from scipy import special
 
 from .channel import simulate, wiener_phase
-from .entropy import LOG_2PI, mean_se, sample_circular_gaussian
+from .entropy import LOG_2PI, BoundRecord, mean_se, sample_circular_gaussian
 from .errors import ConfigurationError, DomainError, NumericUnderflowError
 from .mathcore import TWO_PI, rician_phase_pdf, wrapped_gaussian_cdf
 
@@ -79,15 +79,6 @@ class PhaseQuantizer:
         row = row / row.sum()
         idx = (np.arange(q)[None, :] - np.arange(q)[:, None]) % q
         return cls(q, float(sigma_delta), grid, row[idx])
-
-
-@dataclass(frozen=True)
-class RateEstimate:
-    """Information rate in bits per channel use with a block-level std error."""
-
-    rate: float
-    std_error: float
-    meta: dict = field(default_factory=dict)
 
 
 def _check_blocks(params, quantizer, block_length, n_blocks):
@@ -233,13 +224,15 @@ def qam_rate(
     """Achievable rate (bits/channel use) of iid per-antenna signaling.
 
     Estimates (1/n)[log p(y^n | x^n) - log p(y^n)] with two forward passes
-    over the quantized phase state, averaged over independent blocks.
+    over the quantized phase state, averaged over independent blocks. The
+    `BoundRecord` carries the block-level standard error; its `meta` holds
+    the number of input vectors the mixture rows sum (`mixture_size`) and
+    the channel uses simulated (`n_samples`).
     """
     _check_blocks(params, quantizer, block_length, n_blocks)
     m = params.m
     symbols = constellation.scaled_symbols(params.snr, m)
-    # the number of input vectors the mixture rows average over
-    meta = {"mixture_size": symbols.size**m}
+    meta = {"mixture_size": symbols.size**m, "n_samples": block_length * n_blocks}
 
     block_rates = np.empty(n_blocks)
     for b in range(n_blocks):
@@ -258,7 +251,7 @@ def qam_rate(
         ll_mix = _forward_loglik(quantizer.transition, rows)
         block_rates[b] = (ll_cond - ll_mix) / (block_length * np.log(2.0))
 
-    return RateEstimate(*mean_se(block_rates), meta)
+    return BoundRecord(*mean_se(block_rates), meta=meta)
 
 
 def _live_window(predictive, grid):

@@ -7,9 +7,10 @@ incremental. Delete that directory for a cold run.
 """
 
 import csv
+import json
 import os
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -131,6 +132,27 @@ def horizontal_gaps(series, min_snr):
         if s >= min_snr:
             gaps[s] = s - inv_interp(u["snr"], u["bits"], rate)
     return gaps
+
+
+class TestCommittedRows:
+    def test_deterministic_rows_recompute_bit_for_bit(self):
+        # the cache may serve only what the current code computes; each file
+        # is found by its key, so a moved key fails here too
+        checked = 0
+        for m in (1, 2):
+            text = SWEEP_TEMPLATE.format(m=m, seed=MASTER_SEED, csv="unused.csv", cache=CACHE_DIR)
+            config = cli.parse_config(text)
+            for kind in ("asymptotic", "memoryless_plus_corr"):
+                for snr in config.snr_grid_db():
+                    path = os.path.join(CACHE_DIR, cli.row_cache_key(config, kind, snr) + ".json")
+                    assert os.path.exists(path), f"no committed {kind} row at M={m}, {snr} dB"
+                    with open(path) as fh:
+                        committed = json.load(fh)
+                    row = cli.compute_row(asdict(config), kind, snr)
+                    for col in ("value_bits", "std_error_bits", "opt_alpha", "opt_xi"):
+                        assert row[col] == committed[col], (m, kind, snr, col)
+                    checked += 1
+        assert checked == 44
 
 
 class TestCriterion1:
@@ -272,7 +294,7 @@ class TestCriterion7:
             p_uniform, psk_constellation(8), q_uniform, block_length=2000, n_blocks=2, seed=5
         )
         checks.append(
-            ("PSK under uniform phase ~ 0", abs(psk.rate) <= 3 * psk.std_error + 1e-9)
+            ("PSK under uniform phase ~ 0", abs(psk.value_bits) <= 3 * psk.std_error_bits + 1e-9)
         )
 
         snr = 10**1.5
@@ -290,8 +312,8 @@ class TestCriterion7:
         peak = (-d2).max(axis=1)
         lmix = np.log(np.exp(-d2 - peak[:, None]).mean(axis=1)) + peak
         vals = (-np.abs(w) ** 2 - lmix) / np.log(2.0)
-        tol = 3 * np.hypot(est.std_error, vals.std() / np.sqrt(n))
-        checks.append(("coherent AWGN degenerate", abs(est.rate - vals.mean()) <= tol))
+        tol = 3 * np.hypot(est.std_error_bits, vals.std() / np.sqrt(n))
+        checks.append(("coherent AWGN degenerate", abs(est.value_bits - vals.mean()) <= tol))
 
         p20 = ChannelParams(1, SIGMA_6DEG, 10**2.0)
         rates = [
@@ -302,7 +324,7 @@ class TestCriterion7:
                 block_length=2000,
                 n_blocks=2,
                 seed=7,
-            ).rate
+            ).value_bits
             for levels in (200, 400)
         ]
         checks.append(("quantizer doubling < 0.02 bits", abs(rates[1] - rates[0]) < 0.02))

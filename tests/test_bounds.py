@@ -5,7 +5,6 @@ import pytest
 
 from phasecap import bounds, entropy
 from phasecap.bounds import (
-    BoundRecord,
     LN2,
     _DualityOptimizer,
     asymptotic_capacity,
@@ -18,7 +17,7 @@ from phasecap.bounds import (
 )
 from phasecap.channel import ChannelParams
 from phasecap.cli import derive_seed
-from phasecap.entropy import LOG_2PI, entropy_abs_sq, expect_log_noncentral
+from phasecap.entropy import LOG_2PI, BoundRecord, entropy_abs_sq, expect_log_noncentral
 from phasecap.errors import DomainError, NumericUnderflowError, OptimizationError
 
 SIGMA_6DEG = np.deg2rad(6.0)
@@ -102,7 +101,6 @@ class TestAsymptoticCapacity:
         assert nats == pytest.approx(3.4451092, abs=1e-3)
         rec = asymptotic_capacity(ChannelParams(1, SIGMA_6DEG, 10**1.6))
         assert rec.value_bits == pytest.approx(4.9703, abs=2e-3)
-        assert rec.kind == "asymptotic"
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -164,15 +162,11 @@ class TestHighSnrExcess:
 
 
 class TestBoundRecord:
-    def test_kind_validation(self):
-        with pytest.raises(DomainError):
-            BoundRecord("bogus", 1.0)
-
     def test_finite_validation(self):
         with pytest.raises(DomainError):
-            BoundRecord("U", float("nan"))
+            BoundRecord(float("nan"))
         with pytest.raises(DomainError):
-            BoundRecord("U", 1.0, std_error_bits=-0.1)
+            BoundRecord(1.0, std_error_bits=-0.1)
 
 
 SMALL_BUDGET = dict(block_length=600, n_blocks=2, past_window=150, seed=31)
@@ -201,7 +195,6 @@ class TestUpperBounds:
             assert np.isfinite(rec.value_bits)
             assert rec.opt_alpha > 0
             assert 0 <= rec.opt_xi <= np.sqrt(10**1.7) * (1 + 1e-9)
-        assert u.kind == "U" and us.kind == "U_s" and mem.kind == "memoryless_plus_corr"
         assert 0 < u.meta["predictive_width"] < u.meta["q_levels"]
 
     def test_alpha_bracket_reparameterization_invariance(self, records, monkeypatch):

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import itertools
 import json
 import multiprocessing
@@ -103,6 +104,17 @@ class TestConfigParsing:
         with pytest.raises(UsageError, match=f"line 2: bad value for '{key}': must be >= {low}"):
             parse_config(f"[mc]\n{key} = {low - 1}\n")
         assert getattr(parse_config(f"[mc]\n{key} = {low}\n"), key) == low
+
+    @pytest.mark.parametrize(
+        "key, value",
+        itertools.product(
+            ("sigma_delta_degrees", "start_db", "stop_db", "step_db"), ("nan", "inf", "-inf")
+        ),
+    )
+    def test_non_finite_value(self, key, value):
+        section = "channel" if key == "sigma_delta_degrees" else "sweep"
+        with pytest.raises(UsageError, match=f"line 2: bad value for '{key}': must be finite"):
+            parse_config(f"[{section}]\n{key} = {value}\n")
 
     def test_nonpositive_step(self):
         with pytest.raises(UsageError, match="step_db must be > 0"):
@@ -317,7 +329,7 @@ class TestRunSweep:
                 2,
                 seed,
             )
-            expected = (est.rate, est.std_error, None, None)
+            expected = (est.value_bits, est.std_error_bits, None, None)
         else:
             rec = upper_bound_U(
                 ChannelParams(2, sigma, lam_max * snr),
@@ -430,9 +442,28 @@ class TestRunSweep:
 
     def test_kinds_sharing_a_compute_share_a_version(self):
         # a numerics change to a compute function moves every kind that calls it
-        for a, b in itertools.combinations(cli.KINDS.values(), 2):
-            if a.compute is b.compute:
-                assert a.version == b.version
+        shared = [
+            (a, b)
+            for a, b in itertools.combinations(cli.KINDS, 2)
+            if cli.KINDS[a].compute is cli.KINDS[b].compute
+        ]
+        assert shared == [("U", "nonunitary_upper"), ("qam_lower", "nonunitary_lower")]
+        for a, b in shared:
+            assert cli.KINDS[a].version == cli.KINDS[b].version
+
+    @pytest.mark.parametrize("kind", list(cli.KINDS))
+    def test_compute_takes_exactly_the_cache_key_fields(self, kind):
+        # a compute cannot read a config field that its row's cache key leaves out
+        spec = cli.KINDS[kind]
+        config = ExperimentConfig()
+        key_fields = {f: getattr(config, f) for f in spec.fields}
+        signature = inspect.signature(spec.compute)
+        signature.bind(None, 0, **key_fields)
+        for f in spec.fields:
+            with pytest.raises(TypeError):
+                signature.bind(None, 0, **{g: v for g, v in key_fields.items() if g != f})
+        with pytest.raises(TypeError):
+            signature.bind(None, 0, master_seed=config.master_seed, **key_fields)
 
 
     @pytest.mark.skipif(
@@ -562,6 +593,14 @@ class TestMainEntry:
         cfg.write_text("[channel]\nantennas = -3\n")
         assert cli.main(["validate", str(cfg)]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_validate_non_finite_value(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("[channel]\nsigma_delta_degrees = inf\n")
+        assert cli.main(["validate", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "error: line 2: bad value for 'sigma_delta_degrees': must be finite, got inf\n"
+        )
 
     def test_missing_config_file(self, capsys):
         assert cli.main(["validate", "/nonexistent/x.cfg"]) == 1

@@ -143,15 +143,15 @@ class TestQamRate:
         p = ChannelParams(1, 10.0, 10.0)
         q = PhaseQuantizer.build(10.0, 64)
         est = qam_rate(p, psk_constellation(8), q, block_length=400, n_blocks=2, seed=5)
-        assert abs(est.rate) <= 3 * est.std_error + 1e-9
+        assert abs(est.value_bits) <= 3 * est.std_error_bits + 1e-9
 
     def test_single_symbol_constellation_exactly_zero(self):
         p = ChannelParams(1, 0.3, 10.0)
         q = PhaseQuantizer.build(0.3, 32)
         one = Constellation(np.array([1.0 + 0.5j]))
         est = qam_rate(p, one, q, block_length=200, n_blocks=2, seed=1)
-        assert est.rate == 0.0
-        assert est.std_error == 0.0
+        assert est.value_bits == 0.0
+        assert est.std_error_bits == 0.0
 
     def test_coherent_awgn_degenerate_vs_mc_oracle(self):
         snr = 10**1.5
@@ -170,8 +170,8 @@ class TestQamRate:
         peak = (-d2).max(axis=1)
         lmix = np.log(np.exp(-d2 - peak[:, None]).mean(axis=1)) + peak
         vals = (-np.abs(w) ** 2 - lmix) / np.log(2.0)
-        combined = 3 * np.hypot(est.std_error, vals.std() / np.sqrt(n))
-        assert est.rate == pytest.approx(vals.mean(), abs=combined)
+        combined = 3 * np.hypot(est.std_error_bits, vals.std() / np.sqrt(n))
+        assert est.value_bits == pytest.approx(vals.mean(), abs=combined)
 
     def test_monotone_in_snr(self):
         q = PhaseQuantizer.build(SIGMA_6DEG, 128)
@@ -182,15 +182,15 @@ class TestQamRate:
                 qam_rate(p, qam_constellation(16), q, block_length=500, n_blocks=2, seed=3)
             )
         for lo, hi in zip(rates, rates[1:]):
-            slack = 3 * np.hypot(lo.std_error, hi.std_error)
-            assert hi.rate >= lo.rate - slack
+            slack = 3 * np.hypot(lo.std_error_bits, hi.std_error_bits)
+            assert hi.value_bits >= lo.value_bits - slack
 
     def test_rate_within_signaling_limits(self):
         p = ChannelParams(2, SIGMA_6DEG, 100.0)
         q = PhaseQuantizer.build(SIGMA_6DEG, 64)
         est = qam_rate(p, qam_constellation(16), q, block_length=300, n_blocks=2, seed=8)
-        assert est.rate >= -3 * est.std_error
-        assert est.rate <= 2 * 4.0 + 3 * est.std_error
+        assert est.value_bits >= -3 * est.std_error_bits
+        assert est.value_bits <= 2 * 4.0 + 3 * est.std_error_bits
 
     def test_quantizer_doubling_stability(self):
         for snr_db in [15.0, 25.0]:
@@ -201,7 +201,7 @@ class TestQamRate:
                 vals.append(
                     qam_rate(
                         p, qam_constellation(64), q, block_length=2000, n_blocks=2, seed=7
-                    ).rate
+                    ).value_bits
                 )
             assert abs(vals[1] - vals[0]) < 0.02
 
@@ -347,7 +347,7 @@ class TestQamRate:
         qam16 = qam_constellation(16)
         # the separable rows sum all 16^4 input vectors exactly
         est = qam_rate(ChannelParams(4, SIGMA_6DEG, 10.0), qam16, q, 100, 1, seed=2)
-        assert est.meta == {"mixture_size": 16**4}
+        assert est.meta == {"mixture_size": 16**4, "n_samples": 100}
 
     def test_sigma_mismatch_rejected(self):
         p = ChannelParams(1, SIGMA_6DEG, 10.0)
