@@ -118,10 +118,10 @@ class ExperimentConfig:
     block_length: int = _option(2000, "mc", _bounded(int, inforate.MIN_BLOCK_LENGTH))
     n_blocks: int = _option(4, "mc", _bounded(int, inforate.MIN_N_BLOCKS))
     q_levels: int = _option(200, "mc", _bounded(int, inforate.MIN_Q_LEVELS))
-    past_window: int = _option(200, "mc", int)
+    past_window: int = _option(200, "mc", _bounded(int, inforate.MIN_PAST_WINDOW))
     constellation: str = _option("qam64", "mc", _parse_constellation)
     master_seed: int = _option(1, "run", int)
-    parallelism: int = _option(0, "run", int)
+    parallelism: int = _option(0, "run", _bounded(int, 0))
     csv_path: str = _option("results.csv", "output", str, key="csv")
     cache_dir: str = _option(".phasecap-cache", "output", str)
 
@@ -172,6 +172,9 @@ def parse_config(text, base_dir=""):
     if config.stop_db < config.start_db:
         raise UsageError("stop_db must be >= start_db")
     config.snr_grid_db()  # raises UsageError for step_db <= 0
+    uses_pilots = any("past_window" in KINDS[k].fields for k in config.kinds)
+    if uses_pilots and config.block_length < config.past_window + inforate.MIN_KEPT_STEPS:
+        raise UsageError(f"block_length must be >= past_window + {inforate.MIN_KEPT_STEPS}")
     if any(KINDS[kind].snr_scale is not None for kind in config.kinds):
         if config.h_source == "unitary":
             raise UsageError("nonunitary kinds require an h_matrix file in [channel]")
@@ -219,7 +222,7 @@ def row_cache_key(config, kind, snr_db):
         "snr_db": round(float(snr_db), 6),
         "antennas": config.antennas,
         "sigma_delta_degrees": config.sigma_delta_degrees,
-        "h": _h_fingerprint(config),
+        "h": _h_fingerprint(config) if KINDS[kind].snr_scale is not None else "unitary",
         "master_seed": config.master_seed,
     }
     for name in KINDS[kind].fields:
@@ -299,12 +302,12 @@ _U_FIELDS = ("block_length", "n_blocks", "q_levels", "past_window")
 _QAM_FIELDS = ("block_length", "n_blocks", "q_levels", "constellation")
 
 KINDS = {
-    "U": Kind(_U_FIELDS, None, _upper_U, version=5),
+    "U": Kind(_U_FIELDS, None, _upper_U, version=6),
     "U_s": Kind(("n_samples",), None, _upper_Us, version=5),
     "asymptotic": Kind((), None, _asymptotic),
     "memoryless_plus_corr": Kind((), None, _memoryless_plus_corr, version=4),
     "qam_lower": Kind(_QAM_FIELDS, None, _qam_lower, version=3),
-    "nonunitary_upper": Kind(_U_FIELDS, max, _upper_U, version=5),
+    "nonunitary_upper": Kind(_U_FIELDS, max, _upper_U, version=6),
     "nonunitary_lower": Kind(_QAM_FIELDS, min, _qam_lower, version=3),
 }
 

@@ -31,10 +31,14 @@ from .mathcore import TWO_PI, rician_phase_pdf, wrapped_gaussian_cdf
 
 LOG_PI = float(np.log(np.pi))
 
-# Smallest usable phase grid and block budget; the sweep config is checked against them.
+# Smallest usable phase grid, block budget and pilot burn-in (the past window),
+# and the fewest samples a pilot block keeps after its burn-in; the sweep
+# config is checked against them.
 MIN_Q_LEVELS = 8
 MIN_BLOCK_LENGTH = 100
 MIN_N_BLOCKS = 1
+MIN_PAST_WINDOW = 100
+MIN_KEPT_STEPS = 64
 
 # `cond_entropy` reads a predictive density on its levels above this share
 # of its peak (see `_live_window`).
@@ -352,14 +356,18 @@ def build_predictive_ensemble(
 
     Pilots are sent at peak power (s^2 = snr); `_forward_filter` weights by
     the exact phase likelihood p(u_l | theta_l) = f_phi(u_l - theta_l; snr).
-    Its states are kept once the past holds at least `past_window` symbols
-    (and never fewer than 100, the stationarity burn-in). The ensemble keeps
-    the full (N, Q) densities and, for `cond_entropy`, their live window.
-    Nothing here reads params.m: the ensemble is the same for every M.
+    Each block runs `block_length` steps and keeps its states after the
+    first `past_window`, the burn-in, which must lie in [MIN_PAST_WINDOW,
+    block_length - MIN_KEPT_STEPS]. The ensemble keeps the full (N, Q)
+    densities and, for `cond_entropy`, their live window. Nothing here reads
+    params.m: the ensemble is the same for every M.
     """
     _check_blocks(params, quantizer, block_length, n_blocks)
-    burn = max(100, int(past_window))
-    n = max(int(block_length), burn + 64)
+    n, burn = int(block_length), int(past_window)
+    if not MIN_PAST_WINDOW <= burn <= n - MIN_KEPT_STEPS:
+        raise ConfigurationError(
+            f"past_window must be in [{MIN_PAST_WINDOW}, {n - MIN_KEPT_STEPS}], got {past_window}"
+        )
     keep = n - burn
 
     predictive = np.empty((n_blocks * keep, quantizer.q_levels))
@@ -382,14 +390,7 @@ def build_predictive_ensemble(
         theta_out[base : base + keep] = theta[burn:]
         z_out[base : base + keep] = z_test[burn:]
 
-    return PredictiveEnsemble(
-        quantizer.grid,
-        predictive,
-        theta_out,
-        z_out,
-        int(past_window),
-        int(n_blocks),
-    )
+    return PredictiveEnsemble(quantizer.grid, predictive, theta_out, z_out, burn, int(n_blocks))
 
 
 def adaptive_predictive_ensemble(
@@ -399,31 +400,23 @@ def adaptive_predictive_ensemble(
 
     The convergence probe is evaluated at xi = sqrt(snr), the most
     window-sensitive point. Stops once the estimate moves by less than half
-    its std error, after at most three doublings. The pilot recursion runs
-    once: a wider window w' drops the first max(100, w') - max(100, w) samples
-    of every block, unless it needs max(100, w') + 64 steps, more than a block has.
+    its std error, after at most three doublings, or before a window would
+    leave a block fewer than MIN_KEPT_STEPS samples. The pilot recursion
+    runs once: a wider window w' drops the first w' - w samples of each block.
     """
-    def build(window):
-        return build_predictive_ensemble(params, quantizer, block_length, n_blocks, seed, window)
-
+    ensemble = build_predictive_ensemble(
+        params, quantizer, block_length, n_blocks, seed, past_window
+    )
     xi_ref = np.sqrt(params.snr)
-    window = int(past_window)
-    ensemble = build(window)
     value, _ = ensemble.cond_entropy(xi_ref)
     for _ in range(3):
-        window *= 2
-        if window >= block_length:
+        window = 2 * ensemble.past_window
+        if window + MIN_KEPT_STEPS > block_length:
             break
         keep = ensemble.n_samples // n_blocks
-        drop = max(100, window) - max(100, ensemble.past_window)
-        if drop + 64 > keep:
-            wider = build(window)
-        else:
-            rows = np.arange(ensemble.n_samples) % keep >= drop
-            arrays = ("predictive", "theta", "z_test")
-            wider = replace(
-                ensemble, past_window=window, **{f: getattr(ensemble, f)[rows] for f in arrays}
-            )
+        rows = np.arange(ensemble.n_samples) % keep >= window - ensemble.past_window
+        sliced = {f: getattr(ensemble, f)[rows] for f in ("predictive", "theta", "z_test")}
+        wider = replace(ensemble, past_window=window, **sliced)
         new_value, new_se = wider.cond_entropy(xi_ref)
         moved = abs(new_value - value)
         ensemble, value = wider, new_value

@@ -97,13 +97,35 @@ class TestConfigParsing:
             parse_config("[sweep]\nkinds = nonunitary_upper\n")
 
     @pytest.mark.parametrize(
-        "key, low", [("q_levels", 8), ("block_length", 100), ("n_blocks", 1), ("n_samples", 100)]
+        "key, low",
+        [
+            ("q_levels", 8),
+            ("block_length", 100),
+            ("n_blocks", 1),
+            ("n_samples", 100),
+            ("past_window", 100),
+        ],
     )
     def test_budget_below_minimum(self, key, low):
         # every row using the field would reject this value at compute time
         with pytest.raises(UsageError, match=f"line 2: bad value for '{key}': must be >= {low}"):
             parse_config(f"[mc]\n{key} = {low - 1}\n")
         assert getattr(parse_config(f"[mc]\n{key} = {low}\n"), key) == low
+
+    def test_negative_parallelism(self):
+        # it would silently mean all cores, as 0 does
+        with pytest.raises(UsageError, match="line 2: bad value for 'parallelism': must be >= 0"):
+            parse_config("[run]\nparallelism = -3\n")
+        assert parse_config("[run]\nparallelism = 0\n").parallelism == 0
+
+    def test_block_must_outlast_the_burn_in(self):
+        # a U block keeps at least 64 samples after its past window; QAM
+        # rows have no burn-in, so their config is not refused
+        text = "[sweep]\nkinds = {}\n[mc]\nblock_length = {}\npast_window = 200\n"
+        with pytest.raises(UsageError, match=r"block_length must be >= past_window \+ 64"):
+            parse_config(text.format("qam_lower, U", 263))
+        assert parse_config(text.format("U", 264)).block_length == 264
+        assert parse_config(text.format("qam_lower", 263)).block_length == 263
 
     @pytest.mark.parametrize(
         "key, value",
@@ -601,6 +623,20 @@ class TestMainEntry:
         assert capsys.readouterr().err == (
             "error: line 2: bad value for 'sigma_delta_degrees': must be finite, got inf\n"
         )
+
+    def test_h_matrix_is_read_only_by_nonunitary_kinds(self, tmp_path, capsys):
+        # a config whose kinds never read H sweeps with a missing h_matrix,
+        # and naming the file moves none of their cache keys
+        text = BASIC_CONFIG.format(csv=tmp_path / "o.csv", cache=tmp_path / "cc")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text.replace("[channel]\n", "[channel]\nh_matrix = missing.txt\n"))
+        assert cli.main(["sweep", str(cfg)]) == 0
+        named, plain = cli.parse_config_file(str(cfg)), parse_config(text)
+        assert named.h_source != plain.h_source
+        keys = {row_cache_key(plain, "asymptotic", snr) + ".json" for snr in plain.snr_grid_db()}
+        assert set(os.listdir(tmp_path / "cc")) == keys
+        for kind in (k for k, spec in cli.KINDS.items() if spec.snr_scale is None):
+            assert row_cache_key(named, kind, 10.0) == row_cache_key(plain, kind, 10.0)
 
     def test_missing_config_file(self, capsys):
         assert cli.main(["validate", "/nonexistent/x.cfg"]) == 1

@@ -135,7 +135,7 @@ class TestForwardRecursion:
         p = ChannelParams(1, SIGMA_6DEG, 4.0)
         q = PhaseQuantizer.build(SIGMA_6DEG, 64)
         with pytest.raises(NumericUnderflowError, match="forward-recursion weight"):
-            build_predictive_ensemble(p, q, block_length=200, n_blocks=1, seed=0)
+            build_predictive_ensemble(p, q, block_length=200, n_blocks=1, seed=0, past_window=100)
 
 
 class TestQamRate:
@@ -558,15 +558,31 @@ class TestConditionalPhaseEntropy:
         assert ens.window.shape[0] < first.window.shape[0]
         self.assert_same_ensemble(ens, build_predictive_ensemble(p, q, 600, 2, 0, 400))
 
-    def test_wider_window_needing_a_longer_recursion_is_rebuilt(self, monkeypatch):
-        # window 140 -> 280 in 300-step blocks: 280 + 64 steps do not fit
+    def test_window_stops_before_a_block_runs_short(self, monkeypatch):
+        # window 140 -> 280 in 300-step blocks would keep 20 < 64 samples:
+        # the doubling stops, and one recursion of 300 steps per block runs
         p = ChannelParams(1, SIGMA_6DEG, 50.0)
         q = PhaseQuantizer.build(SIGMA_6DEG, 100)
-        windows = self.spy_builds(monkeypatch)
+        windows, steps = self.spy_builds(monkeypatch), []
+        run = inforate._forward_filter
+
+        def counted(transition, lik, states):
+            steps.append(len(lik))
+            return run(transition, lik, states)
+
+        monkeypatch.setattr(inforate, "_forward_filter", counted)
         ens = adaptive_predictive_ensemble(p, q, 300, 2, 9, 140)
-        assert windows == [140, 280]
+        assert windows == [140] and steps == [300, 300] and ens.past_window == 140
         monkeypatch.undo()
-        self.assert_same_ensemble(ens, build_predictive_ensemble(p, q, 300, 2, 9, 280))
+        self.assert_same_ensemble(ens, build_predictive_ensemble(p, q, 300, 2, 9, 140))
+
+    @pytest.mark.parametrize("block_length, past_window", [(300, 99), (300, 237), (200, 200)])
+    def test_past_window_out_of_range_rejected(self, block_length, past_window):
+        p = ChannelParams(1, SIGMA_6DEG, 50.0)
+        q = PhaseQuantizer.build(SIGMA_6DEG, 64)
+        for build in (build_predictive_ensemble, adaptive_predictive_ensemble):
+            with pytest.raises(ConfigurationError, match="past_window must be in"):
+                build(p, q, block_length, 1, 0, past_window)
 
     def test_ensemble_is_shared_across_antenna_counts(self):
         # the pilot recursion never reads params.m, and the row seed ignores
@@ -581,7 +597,7 @@ class TestConditionalPhaseEntropy:
     def test_xi_domain(self):
         p = ChannelParams(1, SIGMA_6DEG, 4.0)
         q = PhaseQuantizer.build(SIGMA_6DEG, 64)
-        ens = build_predictive_ensemble(p, q, block_length=200, n_blocks=1, seed=0)
+        ens = build_predictive_ensemble(p, q, block_length=200, n_blocks=1, seed=0, past_window=100)
         with pytest.raises(DomainError):
             ens.cond_entropy(-1.0)
 

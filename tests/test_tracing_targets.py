@@ -47,3 +47,24 @@ def test_xi_evaluation_count_matches_the_row():
         tracing.install_layer_wrappers(stack, tracer, MODULES)
         rec = bounds.memoryless_plus_correction(ChannelParams(1, np.deg2rad(6.0), 100.0))
     assert tracer.counts["bounds.xi_evals"] == rec.meta["xi_evals"]
+
+
+def test_pilot_step_count_matches_the_recursion(monkeypatch):
+    # the tracer keeps its own copy of the pilot block-length rule; it must
+    # count the steps that the pilot recursion runs in a U row
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    steps = []
+    forward_filter = inforate._forward_filter
+
+    def counted(transition, lik, states=None):
+        steps.append(len(lik))
+        return forward_filter(transition, lik, states)
+
+    monkeypatch.setattr(inforate, "_forward_filter", counted)
+    params = ChannelParams(1, np.deg2rad(6.0), 100.0)
+    with contextlib.ExitStack() as stack:
+        tracing.install_layer_wrappers(stack, tracer, MODULES)
+        bounds.upper_bound_U(params, q_levels=32, block_length=300, n_blocks=2, past_window=100)
+    assert steps == [300, 300]
+    assert tracer.counts["inforate.pilot_steps"] == sum(steps)
