@@ -34,10 +34,10 @@ class ChannelParams:
         if int(self.m) < 1:
             raise DomainError(f"antenna count must be >= 1, got {self.m}")
         object.__setattr__(self, "m", int(self.m))
-        if self.sigma_delta < 0:
-            raise DomainError(f"sigma_delta must be >= 0, got {self.sigma_delta}")
-        if self.snr <= 0:
-            raise DomainError(f"snr must be > 0, got {self.snr}")
+        if not np.isfinite(self.sigma_delta) or self.sigma_delta < 0:
+            raise DomainError(f"sigma_delta must be finite and >= 0, got {self.sigma_delta}")
+        if not np.isfinite(self.snr) or self.snr <= 0:
+            raise DomainError(f"snr must be finite and > 0, got {self.snr}")
 
 
 def wiener_phase(rng, sigma, n, theta0=None):
@@ -158,8 +158,8 @@ def singular_value_bounds(h_matrix):
 
 
 def load_channel_matrix(path):
-    """Read a complex matrix from text: one row per line, entries like
-    "0.3-0.1j" separated by whitespace."""
+    """Read a complex matrix from text: one row per line, finite entries
+    like "0.3-0.1j" separated by whitespace."""
     rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -167,9 +167,12 @@ def load_channel_matrix(path):
             if not stripped or stripped.startswith("#"):
                 continue
             try:
-                rows.append([complex(tok) for tok in stripped.split()])
+                row = [complex(tok) for tok in stripped.split()]
             except ValueError as exc:
                 raise SchemaError(f"{path}:{lineno}: bad complex entry ({exc})") from exc
+            if not np.all(np.isfinite(row)):
+                raise SchemaError(f"{path}:{lineno}: non-finite entry in {stripped!r}")
+            rows.append(row)
     if not rows:
         raise SchemaError(f"{path}: no matrix rows found")
     width = len(rows[0])

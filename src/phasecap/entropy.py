@@ -4,9 +4,12 @@ The expected log of the output norm is in closed form (exponential integral
 and Kummer functions); the entropy of |xi + z|^2 is a quadrature against its
 Bessel density; Monte Carlo is used only for the outer amplitude average of
 the one-step conditional entropy, whose draws and kappa tables are memoized
-for one U_s row. All values are in nats. `mean_se` is the one (mean,
-standard error) estimator of every Monte Carlo term in the package, and
-`BoundRecord` the one result type of every bound and rate.
+for one U_s row. The tables are monotone cubic (PCHIP) interpolants built
+in numpy: Fritsch-Butland harmonic-mean node slopes, 0 where the secant
+slopes turn or vanish, and Moler's one-sided end slopes, the coefficients
+of scipy's PCHIP interpolator. All values are in nats. `mean_se` is the
+one (mean, standard error) estimator of every Monte Carlo term in the
+package, and `BoundRecord` the one result type of every bound and rate.
 """
 
 from dataclasses import dataclass, field
@@ -14,7 +17,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import special
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ConfigurationError, DomainError, NumericUnderflowError
 from .mathcore import DEFAULT_QUADRATURE, TWO_PI
@@ -149,12 +151,47 @@ def _amplitude_draws(n_samples, seed):
     return z
 
 
+def _pchip_end_slope(h0, h1, m0, m1):
+    """Moler's one-sided three-point end slope, kept shape-preserving."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_coefficients(t, y):
+    """Piecewise-cubic coefficients, shape (4, len(t) - 1), of the monotone
+    (PCHIP) interpolant of y over the increasing nodes t, equal bit for bit
+    to the coefficients of scipy's PCHIP interpolator.
+
+    Interior node slopes are the Fritsch-Butland weighted harmonic mean of
+    the two neighbouring secant slopes, or 0 where those differ in sign or
+    one is 0; the end slopes are Moler's one-sided three-point estimates.
+    """
+    h = np.diff(t)
+    m = np.diff(y) / h
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    agree = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0) & (m[:-1] != 0)
+    dk = np.zeros_like(y)
+    a, b, wa, wb = m[:-1][agree], m[1:][agree], w1[agree], w2[agree]
+    dk[1:-1][agree] = 1.0 / ((wa / a + wb / b) / (wa + wb))
+    dk[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    dk[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    s = (dk[:-1] + dk[1:] - 2 * m) / h
+    return np.stack((s / h, (m - dk[:-1]) / h - s, dk[:-1], y[:-1]))
+
+
 @lru_cache(maxsize=32)
 def _unit_table(sigma, u):
     """Read-only PCHIP coefficients, shape (4, NODES_PER_UNIT), of the
-    convolution entropy over t = log1p(kappa) in [u, u + 1]."""
+    convolution entropy over t = log1p(kappa) in [u, u + 1]: a monotone
+    cubic whose node slopes are harmonic means of the secant slopes
+    (`_pchip_coefficients`). Kappas past KAPPA_MAX read KAPPA_MAX."""
     t = u + np.arange(NODES_PER_UNIT + 1) / NODES_PER_UNIT
-    c = PchipInterpolator(t, _conv_entropies(sigma, np.minimum(np.expm1(t), KAPPA_MAX))).c
+    c = _pchip_coefficients(t, _conv_entropies(sigma, np.minimum(np.expm1(t), KAPPA_MAX)))
     c.flags.writeable = False
     return c
 
@@ -196,4 +233,9 @@ def entropy_delta_plus_phase(xi, sigma, n_samples=100_000, seed=0):
     c = np.hstack([_unit_table(sigma, u) for u in range(u_lo, int(t.max()) + 1)])
     j = np.minimum(np.floor(NODES_PER_UNIT * t).astype(int) - NODES_PER_UNIT * u_lo, c.shape[1] - 1)
     d = t - (j + NODES_PER_UNIT * u_lo) / NODES_PER_UNIT
-    return mean_se(((c[0, j] * d + c[1, j]) * d + c[2, j]) * d + c[3, j])
+    # Horner in place on one gather of the four coefficient rows
+    h, *lower = np.take(c, j, axis=1)
+    for ck in lower:
+        h *= d
+        h += ck
+    return mean_se(h)

@@ -134,25 +134,40 @@ def horizontal_gaps(series, min_snr):
     return gaps
 
 
+def committed_rows(kinds, snrs=None):
+    """(config dict, kind, snr, committed row) of each listed kind in both
+    figures, found by its cache key, so a moved key fails too."""
+    for m in (1, 2):
+        text = SWEEP_TEMPLATE.format(m=m, seed=MASTER_SEED, csv="unused.csv", cache=CACHE_DIR)
+        config = cli.parse_config(text)
+        for kind in kinds:
+            for snr in snrs or config.snr_grid_db():
+                path = os.path.join(CACHE_DIR, cli.row_cache_key(config, kind, snr) + ".json")
+                assert os.path.exists(path), f"no committed {kind} row at M={m}, {snr} dB"
+                with open(path) as fh:
+                    yield asdict(config), kind, snr, json.load(fh)
+
+
 class TestCommittedRows:
+    # the cache may serve only what the current code computes
     def test_deterministic_rows_recompute_bit_for_bit(self):
-        # the cache may serve only what the current code computes; each file
-        # is found by its key, so a moved key fails here too
         checked = 0
-        for m in (1, 2):
-            text = SWEEP_TEMPLATE.format(m=m, seed=MASTER_SEED, csv="unused.csv", cache=CACHE_DIR)
-            config = cli.parse_config(text)
-            for kind in ("asymptotic", "memoryless_plus_corr"):
-                for snr in config.snr_grid_db():
-                    path = os.path.join(CACHE_DIR, cli.row_cache_key(config, kind, snr) + ".json")
-                    assert os.path.exists(path), f"no committed {kind} row at M={m}, {snr} dB"
-                    with open(path) as fh:
-                        committed = json.load(fh)
-                    row = cli.compute_row(asdict(config), kind, snr)
-                    for col in ("value_bits", "std_error_bits", "opt_alpha", "opt_xi"):
-                        assert row[col] == committed[col], (m, kind, snr, col)
-                    checked += 1
+        for config, kind, snr, committed in committed_rows(("asymptotic", "memoryless_plus_corr")):
+            row = cli.compute_row(config, kind, snr)
+            for col in ("value_bits", "std_error_bits", "opt_alpha", "opt_xi"):
+                assert row[col] == committed[col], (config["antennas"], kind, snr, col)
+            checked += 1
         assert checked == 44
+
+    def test_u_s_rows_recompute_bit_for_bit(self):
+        # the one-step entropy tables feed only U_s; its draws are seeded
+        checked = 0
+        for config, kind, snr, committed in committed_rows(("U_s",), (10.0, 30.0)):
+            row = cli.compute_row(config, kind, snr)
+            for col in ("value_bits", "std_error_bits", "opt_alpha", "opt_xi", "seed", "n_samples"):
+                assert row[col] == committed[col], (config["antennas"], kind, snr, col)
+            checked += 1
+        assert checked == 4
 
 
 class TestCriterion1:

@@ -107,6 +107,13 @@ class TestChannelParams:
         with pytest.raises(DomainError):
             ChannelParams(1, 0.1, 0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_snr_or_sigma(self, value):
+        with pytest.raises(DomainError, match="snr must be finite"):
+            ChannelParams(1, 0.1, value)
+        with pytest.raises(DomainError, match="sigma_delta must be finite"):
+            ChannelParams(1, value, 1.0)
+
 
 class TestConstellation:
     def test_qam_peak_normalization_exact(self):
@@ -205,6 +212,13 @@ class TestLoadChannelMatrix(object):
         path = tmp_path / "h.txt"
         path.write_text("1+0j nope\n0j 1+0j\n")
         with pytest.raises(SchemaError):
+            load_channel_matrix(path)
+
+    @pytest.mark.parametrize("entry", ["nan", "inf", "1-infj"])
+    def test_non_finite_entry(self, tmp_path, entry):
+        path = tmp_path / "h.txt"
+        path.write_text(f"1+0j 0j\n0j {entry}\n")
+        with pytest.raises(SchemaError, match=f":2: non-finite entry in '0j {entry}'"):
             load_channel_matrix(path)
 
     def test_ragged(self, tmp_path):

@@ -624,6 +624,21 @@ class TestMainEntry:
             "error: line 2: bad value for 'sigma_delta_degrees': must be finite, got inf\n"
         )
 
+    @pytest.mark.parametrize("entry", ["nan", "inf"])
+    def test_validate_non_finite_h_matrix(self, tmp_path, capsys, entry):
+        # a non-finite H used to give nan eigenvalues, a nan SNR and rows
+        # that failed with a misleading underflow
+        h_path = tmp_path / "h.txt"
+        h_path.write_text(f"1 0\n0 {entry}\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            BASIC_CONFIG.format(csv=tmp_path / "o.csv", cache=tmp_path / "cc")
+            .replace("antennas = 1", f"antennas = 2\nh_matrix = {h_path}")
+            .replace("kinds = asymptotic", "kinds = nonunitary_upper, nonunitary_lower")
+        )
+        assert cli.main(["validate", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {h_path}:2: non-finite entry in '0 {entry}'\n"
+
     def test_h_matrix_is_read_only_by_nonunitary_kinds(self, tmp_path, capsys):
         # a config whose kinds never read H sweeps with a missing h_matrix,
         # and naming the file moves none of their cache keys
