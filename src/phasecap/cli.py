@@ -303,7 +303,7 @@ _QAM_FIELDS = ("block_length", "n_blocks", "q_levels", "constellation")
 
 KINDS = {
     "U": Kind(_U_FIELDS, None, _upper_U, version=6),
-    "U_s": Kind(("n_samples",), None, _upper_Us, version=5),
+    "U_s": Kind(("n_samples",), None, _upper_Us, version=6),
     "asymptotic": Kind((), None, _asymptotic),
     "memoryless_plus_corr": Kind((), None, _memoryless_plus_corr, version=4),
     "qam_lower": Kind(_QAM_FIELDS, None, _qam_lower, version=3),

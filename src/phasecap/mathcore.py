@@ -103,9 +103,6 @@ def rician_phase_pdf(phi, a):
     if a < 0:
         raise DomainError(f"a must be >= 0, got {a}")
     phi = _as_float_array(phi)
-    if a == 0:
-        out = np.full_like(phi, 1.0 / TWO_PI)
-        return out if out.ndim else float(out)
     c = np.cos(phi)
     root_a = np.sqrt(a)
     sin_sq = 1.0 - c * c

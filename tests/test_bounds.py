@@ -250,7 +250,7 @@ class TestOneStepTablesPerRow:
         units = [int(np.rint(np.log1p(kappas[0]))) for kappas in first]
         # xi runs from 0 to 10 and r = |xi + z| below 14, so t = log1p(2 r xi) < 6
         assert sorted(units) == list(range(6))
-        assert all(kappas.size == entropy.NODES_PER_UNIT + 1 for kappas in first)
+        assert all(kappas.size == entropy.NODES_PER_UNIT + 3 for kappas in first)
         calls.clear()
         upper_bound_Us(params, n_samples=2000, seed=5)
         assert len(calls) == len(first)

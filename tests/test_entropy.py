@@ -108,38 +108,30 @@ class TestEntropyAbsSq:
         assert again == first == [entropy_abs_sq.__wrapped__(x) for x in xis]
 
 
-class TestPchipCoefficients:
-    # scipy's PchipInterpolator is the reference; the package builds the
-    # same coefficients in numpy
+class TestUnitTables:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("degrees", [0.5, 6.0, 20.0])
-    def test_unit_tables_equal_scipy(self, degrees):
-        sigma = np.deg2rad(degrees)
-        for u in (0, 1, 5, 20, 21, 22):  # units 21 and 22 reach KAPPA_MAX
-            t = u + np.arange(entropy.NODES_PER_UNIT + 1) / entropy.NODES_PER_UNIT
-            h = entropy._conv_entropies(sigma, np.minimum(np.expm1(t), entropy.KAPPA_MAX))
-            assert np.array_equal(entropy._unit_table(sigma, u), PchipInterpolator(t, h).c), u
+    def test_tables_match_direct_entropies_off_the_nodes(self, degrees):
+        # units 0-20 at random t between the nodes, with more in each unit's
+        # first interval (in unit 0, kappa below 0.008); unit 20 reaches KAPPA_MAX
+        sigma, n = np.deg2rad(degrees), entropy.NODES_PER_UNIT
+        rng = np.random.default_rng(11)
+        for u in range(21):
+            x = np.concatenate([rng.random(64), rng.random(32) / n])  # t - u
+            j = np.floor(x * n).astype(int)
+            d = x - j / n
+            c = entropy._unit_table(sigma, u)
+            table = ((c[0, j] * d + c[1, j]) * d + c[2, j]) * d + c[3, j]
+            direct = entropy._conv_entropies(sigma, np.minimum(np.expm1(u + x), entropy.KAPPA_MAX))
+            assert np.max(np.abs(table - direct)) <= 5e-8, u
         clear_tables()
 
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize(
-        "y, first_slope",
-        [
-            ([0.0, 1.0, 0.0, 1.0, 0.5], 2.0),  # interior secant slopes change sign
-            ([0.0, 1.0, 1.0, 2.0, 2.5], 1.5),  # a zero secant slope
-            ([0.0, 1.0, 6.0, 7.0, 7.5], 0.0),  # Moler's end slope opposes m0
-            ([0.0, 1.0, -4.0, -3.0, -2.0], 3.0),  # it exceeds 3 m0 where m0, m1 differ in sign
-        ],
-    )
-    def test_every_slope_branch_equals_scipy(self, y, first_slope):
-        t = np.array([0.0, 1.0, 2.0, 3.5, 4.0])
-        y = np.array(y)
-        c = entropy._pchip_coefficients(t, y)
-        assert c[2, 0] == first_slope
-        assert np.array_equal(c, PchipInterpolator(t, y).c)
-        # ... and read back, the cubic interpolates the nodes
-        d = np.diff(t)
-        assert np.allclose(((c[0] * d + c[1]) * d + c[2]) * d + c[3], y[1:])
+    def test_tables_interpolate_their_nodes(self):
+        t = 3 + np.arange(entropy.NODES_PER_UNIT) / entropy.NODES_PER_UNIT
+        c = entropy._unit_table(SIGMA_6DEG, 3)
+        assert np.array_equal(c[3], entropy._conv_entropies(SIGMA_6DEG, np.expm1(t)))
+        assert not c.flags.writeable
+        clear_tables()
 
 
 class TestEntropyDeltaPlusPhase:

@@ -106,8 +106,10 @@ class TestWrappedGaussianType:
 
 class TestRicianPhasePdf:
     def test_zero_snr_uniform(self):
-        phi = np.linspace(-np.pi, np.pi, 9)
-        assert np.allclose(rician_phase_pdf(phi, 0.0), 1 / TWO_PI)
+        phi = np.linspace(-10.0, 10.0, 100_001)
+        assert np.all(rician_phase_pdf(phi, 0.0) == 1 / TWO_PI)
+        value = rician_phase_pdf(0.3, 0.0)
+        assert type(value) is float and value == 1 / TWO_PI
 
     @pytest.mark.parametrize("a", [0.5, 10.0, 1e4])
     def test_normalization(self, a):
