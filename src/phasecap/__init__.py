@@ -27,10 +27,7 @@ from .entropy import (
     entropy_delta_plus_phase,
     expect_log_noncentral,
 )
-from .inforate import (
-    PhaseQuantizer,
-    qam_rate,
-)
+from .inforate import qam_rate
 from .mathcore import (
     Quadrature,
     rician_phase_pdf,

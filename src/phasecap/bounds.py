@@ -13,7 +13,7 @@ from .entropy import (
     expect_log_noncentral,
 )
 from .errors import DomainError, OptimizationError
-from .inforate import PhaseQuantizer, adaptive_predictive_ensemble
+from .inforate import adaptive_predictive_ensemble
 from .mathcore import wrapped_gaussian_entropy
 
 LN2 = float(np.log(2.0))
@@ -180,15 +180,14 @@ def upper_bound_U(
     duality optimizer shares it across every xi of the (alpha, xi) search.
     """
     _check_params(params)
-    quantizer = PhaseQuantizer.build(params.sigma_delta, q_levels)
     ensemble = adaptive_predictive_ensemble(
-        params, quantizer, block_length, n_blocks, seed, past_window
+        params, q_levels, block_length, n_blocks, seed, past_window
     )
     meta = {
         "past_window": ensemble.past_window,
         "predictive_width": ensemble.window.shape[0],
         "n_samples": ensemble.n_samples,
-        "q_levels": quantizer.q_levels,
+        "q_levels": int(q_levels),
         "seed": int(seed),
     }
     return _duality_record(params, ensemble.cond_entropy, meta)

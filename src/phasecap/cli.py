@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 import time
@@ -274,12 +275,7 @@ def _upper_Us(params, seed, n_samples):
 
 def _qam_lower(params, seed, block_length, n_blocks, q_levels, constellation):
     return inforate.qam_rate(
-        params,
-        constellation_by_name(constellation),
-        inforate.PhaseQuantizer.build(params.sigma_delta, q_levels),
-        block_length,
-        n_blocks,
-        seed,
+        params, constellation_by_name(constellation), q_levels, block_length, n_blocks, seed
     )
 
 
@@ -456,7 +452,11 @@ print("wrote figure{figure_id}.png")
 
 
 def emit_plot_script(csv_path, figure_id, out_path=None):
-    """Write a standalone matplotlib script for the given results CSV."""
+    """Write a standalone matplotlib script for the given results CSV. The
+    figure id goes into the script's text and file names, so it must match
+    [A-Za-z0-9_-]+."""
+    if not re.fullmatch(r"[A-Za-z0-9_-]+", str(figure_id)):
+        raise UsageError(f"figure id must match [A-Za-z0-9_-]+, got {figure_id!r}")
     with open(csv_path, newline="") as fh:
         reader = csv.DictReader(fh)
         if not {"snr_db", "kind", "value_bits"} <= set(reader.fieldnames or ()):

@@ -33,11 +33,9 @@ E2_MEMO_SIZE = 4096
 
 
 def mean_se(samples):
-    """(mean, standard error of the mean) of a 1-D array of iid samples;
-    the standard error of a single sample is 0."""
-    n = samples.size
-    se = float(samples.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return float(samples.mean()), se
+    """(mean, standard error of the mean) of a 1-D array of at least two iid
+    samples."""
+    return float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(samples.size))
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,9 @@ class RankError(DomainError):
 
 
 class NumericUnderflowError(ArithmeticError):
-    """A forward-recursion weight underflowed (the phase quantizer is too
-    coarse for the requested SNR), or a von Mises concentration is past the
-    range of the Bessel functions."""
+    """A forward-recursion weight underflowed (raise `q_levels` for the
+    requested SNR), or a von Mises concentration is past the range of the
+    Bessel functions."""
 
 
 class OptimizationError(RuntimeError):

@@ -1,5 +1,9 @@
 """Quantized-phase forward recursion for finite-state information rates.
 
+Each recursion takes `q_levels` and builds its phase grid and transition
+matrix from `params.sigma_delta` (`_phase_model`). A weight that underflows
+raises `NumericUnderflowError`: raise `q_levels` for that SNR.
+
 Two consumers:
   * `qam_rate` — achievable rates of iid per-antenna constellations, via the
     ratio of a conditional and an input-averaged forward pass.
@@ -36,7 +40,7 @@ LOG_PI = float(np.log(np.pi))
 # config is checked against them.
 MIN_Q_LEVELS = 8
 MIN_BLOCK_LENGTH = 100
-MIN_N_BLOCKS = 1
+MIN_N_BLOCKS = 2
 MIN_PAST_WINDOW = 100
 MIN_KEPT_STEPS = 64
 
@@ -57,41 +61,30 @@ def _wrap_pm_pi(x):
     return np.mod(x + np.pi, TWO_PI) - np.pi
 
 
-@dataclass(frozen=True)
-class PhaseQuantizer:
-    """Uniform Q-level grid on [0, 2pi) with the wrapped-Gaussian transition
-    kernel integrated over destination cells. The matrix is circulant and
-    row-stochastic by construction."""
-
-    q_levels: int
-    sigma_delta: float
-    grid: np.ndarray
-    transition: np.ndarray
-
-    @classmethod
-    def build(cls, sigma_delta, q_levels=200):
-        if sigma_delta <= 0:
-            raise DomainError(f"sigma_delta must be > 0, got {sigma_delta}")
-        q = int(q_levels)
-        if q < MIN_Q_LEVELS:
-            raise ConfigurationError(f"q_levels must be >= {MIN_Q_LEVELS}, got {q_levels}")
-        grid = TWO_PI * np.arange(q) / q
-        w = TWO_PI / q
-        row = wrapped_gaussian_cdf(grid + 0.5 * w, sigma_delta) - wrapped_gaussian_cdf(
-            grid - 0.5 * w, sigma_delta
-        )
-        row = row / row.sum()
-        idx = (np.arange(q)[None, :] - np.arange(q)[:, None]) % q
-        return cls(q, float(sigma_delta), grid, row[idx])
+def _phase_model(sigma_delta, q_levels):
+    """Uniform Q-level grid on [0, 2pi) and the wrapped-Gaussian transition
+    kernel of the phase increment, integrated over destination cells. The
+    matrix is circulant and row-stochastic by construction."""
+    if sigma_delta <= 0:
+        raise DomainError(f"sigma_delta must be > 0, got {sigma_delta}")
+    q = int(q_levels)
+    grid = TWO_PI * np.arange(q) / q
+    w = TWO_PI / q
+    row = wrapped_gaussian_cdf(grid + 0.5 * w, sigma_delta) - wrapped_gaussian_cdf(
+        grid - 0.5 * w, sigma_delta
+    )
+    row = row / row.sum()
+    idx = (np.arange(q)[None, :] - np.arange(q)[:, None]) % q
+    return grid, row[idx]
 
 
-def _check_blocks(params, quantizer, block_length, n_blocks):
+def _check_blocks(q_levels, block_length, n_blocks):
+    if q_levels < MIN_Q_LEVELS:
+        raise ConfigurationError(f"q_levels must be >= {MIN_Q_LEVELS}, got {q_levels}")
     if block_length < MIN_BLOCK_LENGTH:
         raise ConfigurationError(f"block_length must be >= {MIN_BLOCK_LENGTH}, got {block_length}")
     if n_blocks < MIN_N_BLOCKS:
         raise ConfigurationError(f"n_blocks must be >= {MIN_N_BLOCKS}, got {n_blocks}")
-    if abs(quantizer.sigma_delta - params.sigma_delta) > 1e-12 * max(1.0, params.sigma_delta):
-        raise ConfigurationError("quantizer was built for a different sigma_delta than the channel")
 
 
 def _forward_filter(transition, lik, states=None):
@@ -112,8 +105,7 @@ def _forward_filter(transition, lik, states=None):
         c = norms[l] = np.multiply(state, row, out=v).sum()
         if not 0.0 < c < np.inf:
             raise NumericUnderflowError(
-                "forward-recursion weight underflowed; the phase quantizer is "
-                "too coarse at this SNR"
+                "forward-recursion weight underflowed; raise q_levels for this SNR"
             )
         np.dot(np.divide(v, c, out=v), transition, out=state)
     return np.log(norms)
@@ -223,7 +215,7 @@ def _mixture_log_rows_dense(y, vectors, grid, m):
 
 
 def qam_rate(
-    params, constellation, quantizer, block_length=2000, n_blocks=4, seed=0, theta0=None
+    params, constellation, q_levels=200, block_length=2000, n_blocks=4, seed=0, theta0=None
 ):
     """Achievable rate (bits/channel use) of iid per-antenna signaling.
 
@@ -233,7 +225,8 @@ def qam_rate(
     the number of input vectors the mixture rows sum (`mixture_size`) and
     the channel uses simulated (`n_samples`).
     """
-    _check_blocks(params, quantizer, block_length, n_blocks)
+    _check_blocks(q_levels, block_length, n_blocks)
+    grid, transition = _phase_model(params.sigma_delta, q_levels)
     m = params.m
     symbols = constellation.scaled_symbols(params.snr, m)
     meta = {"mixture_size": symbols.size**m, "n_samples": block_length * n_blocks}
@@ -244,15 +237,15 @@ def qam_rate(
         idx = rng.integers(0, symbols.size, size=(block_length, m))
         x = symbols[idx]
         y, _ = simulate(params, x, seed=[int(seed), b, 0xB], theta0=theta0)
-        cond_rows = _conditional_log_rows(y, x, quantizer.grid, m)
-        ll_cond = _forward_loglik(quantizer.transition, cond_rows)
+        cond_rows = _conditional_log_rows(y, x, grid, m)
+        ll_cond = _forward_loglik(transition, cond_rows)
         if symbols.size == 1:
             # the input average is over a single vector: the two passes
             # coincide bit-for-bit and the rate is identically zero
             rows = cond_rows
         else:
-            rows = _mixture_log_rows_separable(y, symbols, quantizer.grid, m)
-        ll_mix = _forward_loglik(quantizer.transition, rows)
+            rows = _mixture_log_rows_separable(y, symbols, grid, m)
+        ll_mix = _forward_loglik(transition, rows)
         block_rates[b] = (ll_cond - ll_mix) / (block_length * np.log(2.0))
 
     return BoundRecord(*mean_se(block_rates), meta=meta)
@@ -343,14 +336,14 @@ class PredictiveEnsemble:
         mix = np.einsum("wn,wn->n", self.window, np.exp(t, out=t))
         if np.any(mix <= 0.0) or not np.all(np.isfinite(mix)):
             raise NumericUnderflowError(
-                "predictive/von-Mises mixture underflowed; quantizer too coarse"
+                "predictive/von-Mises mixture underflowed; raise q_levels for this SNR"
             )
         values = -np.log(mix) + np.log(TWO_PI * special.i0e(kappa))
         return mean_se(np.array([block.mean() for block in np.split(values, self.n_blocks)]))
 
 
 def build_predictive_ensemble(
-    params, quantizer, block_length=2000, n_blocks=4, seed=0, past_window=200
+    params, q_levels=200, block_length=2000, n_blocks=4, seed=0, past_window=200
 ):
     """Run the pilot forward recursion and collect predictive densities.
 
@@ -362,15 +355,16 @@ def build_predictive_ensemble(
     densities and, for `cond_entropy`, their live window. Nothing here reads
     params.m: the ensemble is the same for every M.
     """
-    _check_blocks(params, quantizer, block_length, n_blocks)
+    _check_blocks(q_levels, block_length, n_blocks)
     n, burn = int(block_length), int(past_window)
     if not MIN_PAST_WINDOW <= burn <= n - MIN_KEPT_STEPS:
         raise ConfigurationError(
             f"past_window must be in [{MIN_PAST_WINDOW}, {n - MIN_KEPT_STEPS}], got {past_window}"
         )
     keep = n - burn
+    grid, transition = _phase_model(params.sigma_delta, q_levels)
 
-    predictive = np.empty((n_blocks * keep, quantizer.q_levels))
+    predictive = np.empty((n_blocks * keep, grid.size))
     theta_out = np.empty(n_blocks * keep)
     z_out = np.empty(n_blocks * keep, dtype=complex)
 
@@ -380,21 +374,21 @@ def build_predictive_ensemble(
         z_pilot = sample_circular_gaussian(rng, n)
         z_test = sample_circular_gaussian(rng, n)
         u = np.mod(theta + np.angle(1.0 + z_pilot / np.sqrt(params.snr)), TWO_PI)
-        lik = rician_phase_pdf(_wrap_pm_pi(u[:, None] - quantizer.grid[None, :]), params.snr)
+        lik = rician_phase_pdf(_wrap_pm_pi(u[:, None] - grid[None, :]), params.snr)
 
         base = b * keep
         states = np.empty_like(lik)
-        _forward_filter(quantizer.transition, lik, states)
+        _forward_filter(transition, lik, states)
         predictive[base : base + keep] = states[burn:]
         del states  # not held while the next block's likelihood is built
         theta_out[base : base + keep] = theta[burn:]
         z_out[base : base + keep] = z_test[burn:]
 
-    return PredictiveEnsemble(quantizer.grid, predictive, theta_out, z_out, burn, int(n_blocks))
+    return PredictiveEnsemble(grid, predictive, theta_out, z_out, burn, int(n_blocks))
 
 
 def adaptive_predictive_ensemble(
-    params, quantizer, block_length=2000, n_blocks=4, seed=0, past_window=200
+    params, q_levels=200, block_length=2000, n_blocks=4, seed=0, past_window=200
 ):
     """Double the past window until the entropy estimate stabilizes.
 
@@ -405,7 +399,7 @@ def adaptive_predictive_ensemble(
     runs once: a wider window w' drops the first w' - w samples of each block.
     """
     ensemble = build_predictive_ensemble(
-        params, quantizer, block_length, n_blocks, seed, past_window
+        params, q_levels, block_length, n_blocks, seed, past_window
     )
     xi_ref = np.sqrt(params.snr)
     value, _ = ensemble.cond_entropy(xi_ref)

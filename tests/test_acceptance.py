@@ -23,7 +23,7 @@ from phasecap.entropy import (
     expect_log_noncentral,
     sample_circular_gaussian,
 )
-from phasecap.inforate import PhaseQuantizer, qam_rate
+from phasecap.inforate import qam_rate
 from phasecap.mathcore import (
     DEFAULT_QUADRATURE,
     TWO_PI,
@@ -304,19 +304,15 @@ class TestCriterion7:
         checks.append(("h(|z|^2) exponential", abs(entropy_abs_sq(0.0) - 1.0) < 1e-6))
 
         p_uniform = ChannelParams(1, 10.0, 10.0)
-        q_uniform = PhaseQuantizer.build(10.0, 64)
-        psk = qam_rate(
-            p_uniform, psk_constellation(8), q_uniform, block_length=2000, n_blocks=2, seed=5
-        )
+        psk = qam_rate(p_uniform, psk_constellation(8), 64, block_length=2000, n_blocks=2, seed=5)
         checks.append(
             ("PSK under uniform phase ~ 0", abs(psk.value_bits) <= 3 * psk.std_error_bits + 1e-9)
         )
 
         snr = 10**1.5
         p_coh = ChannelParams(1, 1e-6, snr)
-        q_coh = PhaseQuantizer.build(1e-6, 200)
         est = qam_rate(
-            p_coh, qam_constellation(64), q_coh, block_length=2000, n_blocks=2, seed=11, theta0=0.0
+            p_coh, qam_constellation(64), 200, block_length=2000, n_blocks=2, seed=11, theta0=0.0
         )
         symbols = qam_constellation(64).scaled_symbols(snr, 1)
         rng = np.random.default_rng(123)
@@ -335,7 +331,7 @@ class TestCriterion7:
             qam_rate(
                 p20,
                 qam_constellation(64),
-                PhaseQuantizer.build(SIGMA_6DEG, levels),
+                levels,
                 block_length=2000,
                 n_blocks=2,
                 seed=7,

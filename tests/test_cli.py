@@ -28,7 +28,7 @@ from phasecap.cli import (
     run_sweep,
 )
 from phasecap.errors import ConfigurationError, DomainError, RankError, SchemaError, UsageError
-from phasecap.inforate import PhaseQuantizer, qam_rate
+from phasecap.inforate import qam_rate
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 H_EXAMPLE = os.path.join(CONFIGS, "h_example.txt")
@@ -101,7 +101,7 @@ class TestConfigParsing:
         [
             ("q_levels", 8),
             ("block_length", 100),
-            ("n_blocks", 1),
+            ("n_blocks", 2),
             ("n_samples", 100),
             ("past_window", 100),
         ],
@@ -346,7 +346,7 @@ class TestRunSweep:
             est = qam_rate(
                 ChannelParams(2, sigma, lam_min * snr),
                 qam_constellation(16),
-                PhaseQuantizer.build(sigma, 64),
+                64,
                 300,
                 2,
                 seed,
@@ -568,6 +568,24 @@ class TestPlotScript:
         path.write_text("snr_db,kind\n10.0,U\n")
         with pytest.raises(SchemaError):
             emit_plot_script(path, "1")
+
+    @pytest.mark.parametrize("figure_id", ['1"', "a/b"])
+    def test_bad_figure_id_exits_1_and_writes_nothing(self, tmp_path, capsys, figure_id):
+        # a quote would end the script's string literals, and a slash would
+        # put the script in a new directory
+        csv_path = self.make_csv(tmp_path)
+        assert cli.main(["plot", str(csv_path), "--figure", figure_id]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: figure id") and captured.err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == ["r.csv"]
+
+    def test_figure_id_with_dash_and_underscore(self, tmp_path, capsys):
+        csv_path = self.make_csv(tmp_path)
+        assert cli.main(["plot", str(csv_path), "--figure", "fig-2_b"]) == 0
+        out = capsys.readouterr().out.strip()
+        assert out == str(tmp_path / "r_figfig-2_b.py")
+        compile(open(out).read(), out, "exec")
 
 
 class TestMainEntry:

@@ -2,6 +2,7 @@
 of package functions by name and read the ensemble's arrays; a rename or a
 changed shape in the package must fail here, not only in the benchmark."""
 
+import inspect
 import os
 import re
 
@@ -25,10 +26,20 @@ def test_every_captured_name_exists():
         assert callable(getattr(modules[owner], attr, None)), f"{owner}.{attr}"
 
 
+def test_ensemble_builders_take_the_same_positional_arguments():
+    # the probes call build_predictive_ensemble(*args) with the arguments they
+    # capture from adaptive_predictive_ensemble, and the tracer binds them by
+    # position
+    adaptive, build = (
+        list(inspect.signature(f).parameters)
+        for f in (inforate.adaptive_predictive_ensemble, inforate.build_predictive_ensemble)
+    )
+    assert adaptive == build
+
+
 def test_ensemble_arrays_and_cond_entropy_value():
     params = ChannelParams(1, np.deg2rad(6.0), 100.0)
-    quantizer = inforate.PhaseQuantizer.build(params.sigma_delta, 32)
-    ens = inforate.build_predictive_ensemble(params, quantizer, 200, 2, 0, 100)
+    ens = inforate.build_predictive_ensemble(params, 32, 200, 2, 0, 100)
     # the probes index predictive[sample, cell] with the flat theta array
     assert ens.theta.shape == (ens.theta.size,)
     assert ens.predictive.shape == (ens.theta.size, ens.grid.size)
