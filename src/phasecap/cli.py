@@ -88,6 +88,13 @@ def _bounded(parse, low, strict=False):
     return parse_bounded
 
 
+def _parse_q_levels(text):
+    value = _bounded(int, inforate.MIN_Q_LEVELS)(text)
+    if value % inforate.Q_LEVELS_MULTIPLE:
+        raise ValueError(f"must be a multiple of {inforate.Q_LEVELS_MULTIPLE}, got {value}")
+    return value
+
+
 def _parse_constellation(text):
     constellation_by_name(text)  # raises ValueError for a label it cannot build
     return text
@@ -118,7 +125,7 @@ class ExperimentConfig:
     n_samples: int = _option(100_000, "mc", _bounded(int, MIN_N_SAMPLES))
     block_length: int = _option(2000, "mc", _bounded(int, inforate.MIN_BLOCK_LENGTH))
     n_blocks: int = _option(4, "mc", _bounded(int, inforate.MIN_N_BLOCKS))
-    q_levels: int = _option(200, "mc", _bounded(int, inforate.MIN_Q_LEVELS))
+    q_levels: int = _option(200, "mc", _parse_q_levels)
     past_window: int = _option(200, "mc", _bounded(int, inforate.MIN_PAST_WINDOW))
     constellation: str = _option("qam64", "mc", _parse_constellation)
     master_seed: int = _option(1, "run", int)
@@ -302,9 +309,9 @@ KINDS = {
     "U_s": Kind(("n_samples",), None, _upper_Us, version=6),
     "asymptotic": Kind((), None, _asymptotic),
     "memoryless_plus_corr": Kind((), None, _memoryless_plus_corr, version=4),
-    "qam_lower": Kind(_QAM_FIELDS, None, _qam_lower, version=3),
+    "qam_lower": Kind(_QAM_FIELDS, None, _qam_lower, version=4),
     "nonunitary_upper": Kind(_U_FIELDS, max, _upper_U, version=6),
-    "nonunitary_lower": Kind(_QAM_FIELDS, min, _qam_lower, version=3),
+    "nonunitary_lower": Kind(_QAM_FIELDS, min, _qam_lower, version=4),
 }
 
 

@@ -1,8 +1,8 @@
 """Quantized-phase forward recursion for finite-state information rates.
 
-Each recursion takes `q_levels` and builds its phase grid and transition
-matrix from `params.sigma_delta` (`_phase_model`). A weight that underflows
-raises `NumericUnderflowError`: raise `q_levels` for that SNR.
+Each recursion takes `q_levels`, a multiple of 4, and builds its phase grid
+and transition matrix from `params.sigma_delta` (`_phase_model`). A weight
+that underflows raises `NumericUnderflowError`: raise `q_levels` for that SNR.
 
 Two consumers:
   * `qam_rate` — achievable rates of iid per-antenna constellations, via the
@@ -18,9 +18,12 @@ Both are Monte Carlo means over independent blocks, with the block-level
 standard error of `entropy.mean_se`. Both step one forward filter,
 `_forward_filter`: keep the predictive state, weight it by the likelihood
 row, normalize, predict. The QAM passes hand it the exps of their log rows
-less each row's peak. The input average of `qam_rate` (the mixture rows) is
-one log-sum-exp kernel, `_add_logsumexp`, over real points, whatever the set,
+less each row's peak, and each pass's (n, Q) rows are dropped when it
+returns. The input average of `qam_rate` (the mixture rows) is one
+log-sum-exp kernel, `_add_logsumexp`, over real points, whatever the set,
 run one cache-sized row block at a time (exact: every operation is row-wise).
+For square QAM the points are the levels of a PAM axis, on the first
+half-turn of the grid only; the rest is read off by symmetry.
 """
 
 from dataclasses import dataclass, field, replace
@@ -43,6 +46,10 @@ MIN_BLOCK_LENGTH = 100
 MIN_N_BLOCKS = 2
 MIN_PAST_WINDOW = 100
 MIN_KEPT_STEPS = 64
+
+# The mixture rows read the phase grid a quarter turn (Q/4 grid steps) on, so
+# Q must be a multiple of this.
+Q_LEVELS_MULTIPLE = 4
 
 # `cond_entropy` reads a predictive density on its levels above this share
 # of its peak (see `_live_window`).
@@ -81,6 +88,10 @@ def _phase_model(sigma_delta, q_levels):
 def _check_blocks(q_levels, block_length, n_blocks):
     if q_levels < MIN_Q_LEVELS:
         raise ConfigurationError(f"q_levels must be >= {MIN_Q_LEVELS}, got {q_levels}")
+    if q_levels % Q_LEVELS_MULTIPLE:
+        raise ConfigurationError(
+            f"q_levels must be a multiple of {Q_LEVELS_MULTIPLE}, got {q_levels}"
+        )
     if block_length < MIN_BLOCK_LENGTH:
         raise ConfigurationError(f"block_length must be >= {MIN_BLOCK_LENGTH}, got {block_length}")
     if n_blocks < MIN_N_BLOCKS:
@@ -118,7 +129,8 @@ def _forward_loglik(transition, log_rows):
     gives a NaN normalizer, on which the filter raises."""
     peak = np.max(log_rows, axis=1)
     with np.errstate(invalid="ignore"):  # -inf - -inf on a row with no finite peak
-        lik = np.exp(log_rows - peak[:, None])
+        lik = np.subtract(log_rows, peak[:, None])
+        np.exp(lik, out=lik)
     return np.cumsum(_forward_filter(transition, lik) + peak)[-1]
 
 
@@ -129,8 +141,11 @@ def _conditional_log_rows(y, x, grid, m):
     """
     ip = np.sum(np.conj(y) * x, axis=1)
     const = -np.sum(np.abs(y) ** 2, axis=1) - np.sum(np.abs(x) ** 2, axis=1) - m * LOG_PI
-    re = np.cos(grid)[None, :] * ip.real[:, None] - np.sin(grid)[None, :] * ip.imag[:, None]
-    return 2.0 * re + const[:, None]
+    rows = np.multiply.outer(ip.real, np.cos(grid))
+    rows -= np.multiply.outer(ip.imag, np.sin(grid))
+    rows *= 2.0
+    rows += const[:, None]
+    return rows
 
 
 def _add_logsumexp(rows, c, points):
@@ -178,23 +193,51 @@ def _mixture_log_rows_separable(y, symbols, grid, m):
     With H = I the average over the |X|^m input vectors factorizes exactly
     into per-antenna sums of exp(2 Re(p s) - |s|^2) over the symbols s, with
     p = e^{j theta} conj(y_i): the points (Re s, Im s) against (Re p, -Im p).
+
     A product set {a + jb} (square QAM: distinct symbols and #re * #im ==
-    #symbols) factors once more, into one sum over the levels of each PAM
-    axis against its own projection. The rows go one block of about
-    MIXTURE_BLOCK_CELLS cells at a time, so that the passes stay in cache;
-    every operation is row-wise, so that changes no bit.
+    #symbols) factors once more, into f_L(c) = log sum_{w in L}
+    exp(2 w c - w^2) over the levels L of each PAM axis. On the grid
+    theta_q = 2 pi q / Q, Q a multiple of 4, both axes come from c = Re p
+    on the first half-turn (q < Q/2), by two exact identities:
+      * -Im p(theta) = Re p(theta + pi/2), a shift s of Q/4 grid steps;
+      * Re p(theta + pi) = -Re p(theta), and f_L(-c) = f_{-L}(c).
+    So each distinct level set among L_re, -L_re, L_im, -L_im gets one
+    (n, Q/2) table per antenna (one in all for square QAM), and column q of
+    an axis reads r = (q + s) mod Q: f_L at r when r < Q/2, f_{-L} at
+    r - Q/2 otherwise. Against sums over all Q phases, only rounding moves.
+
+    The rows go one block of about MIXTURE_BLOCK_CELLS cells at a time, so
+    that the passes stay in cache; every operation is row-wise, so that
+    changes no bit.
     """
     re, im = np.unique(symbols.real), np.unique(symbols.imag)
-    rows = np.zeros((y.shape[0], grid.size))
-    step = max(1, MIXTURE_BLOCK_CELLS // grid.size)
+    q = grid.size
+    half = q // 2
+    product = re.size * im.size == symbols.size
+    if product:
+        cos_h, sin_h = np.cos(grid[:half]), np.sin(grid[:half])
+        # each axis as (L, -L, shift s), a level set keyed by its sorted levels
+        axes = [(tuple(lv), tuple(np.sort(-lv)), s) for lv, s in ((re, 0), (im, q // 4))]
+        level_sets = {key: np.array(key)[:, None] for axis in axes for key in axis[:2]}
+    else:
+        points = np.stack([symbols.real, symbols.imag], axis=1)
+    rows = np.zeros((y.shape[0], q))
+    step = max(1, MIXTURE_BLOCK_CELLS // q)
     for start in range(0, y.shape[0], step):
         yb, out = y[start : start + step], rows[start : start + step]
-        proj = _projections(yb, grid)
-        if re.size * im.size == symbols.size:
-            for levels, c in zip((re, im) * m, proj):
-                _add_logsumexp(out, (c,), levels[:, None])
+        if product:
+            for yr, yi in zip(yb.real.T, yb.imag.T):
+                c = np.multiply.outer(yr, cos_h) + np.multiply.outer(yi, sin_h)  # Re p
+                tables = {}
+                for key, levels in level_sets.items():
+                    tables[key] = np.zeros_like(c)
+                    _add_logsumexp(tables[key], (c,), levels)
+                for plus, minus, s in axes:
+                    out[:, : half - s] += tables[plus][:, s:]
+                    out[:, half - s : q - s] += tables[minus]
+                    out[:, q - s :] += tables[plus][:, :s]
         else:
-            points = np.stack([symbols.real, symbols.imag], axis=1)
+            proj = _projections(yb, grid)
             for c in zip(proj, proj):  # (Re p, -Im p) of each antenna
                 _add_logsumexp(out, c, points)
         out -= m * np.log(symbols.size)
@@ -237,15 +280,14 @@ def qam_rate(
         idx = rng.integers(0, symbols.size, size=(block_length, m))
         x = symbols[idx]
         y, _ = simulate(params, x, seed=[int(seed), b, 0xB], theta0=theta0)
-        cond_rows = _conditional_log_rows(y, x, grid, m)
-        ll_cond = _forward_loglik(transition, cond_rows)
+        # each pass's (n, Q) rows are dropped as soon as it returns
+        ll_cond = _forward_loglik(transition, _conditional_log_rows(y, x, grid, m))
         if symbols.size == 1:
             # the input average is over a single vector: the two passes
             # coincide bit-for-bit and the rate is identically zero
-            rows = cond_rows
+            ll_mix = ll_cond
         else:
-            rows = _mixture_log_rows_separable(y, symbols, grid, m)
-        ll_mix = _forward_loglik(transition, rows)
+            ll_mix = _forward_loglik(transition, _mixture_log_rows_separable(y, symbols, grid, m))
         block_rates[b] = (ll_cond - ll_mix) / (block_length * np.log(2.0))
 
     return BoundRecord(*mean_se(block_rates), meta=meta)

@@ -169,6 +169,16 @@ class TestCommittedRows:
             checked += 1
         assert checked == 4
 
+    def test_qam_lower_rows_recompute_bit_for_bit(self):
+        # its blocks are seeded, and a change in rounding moves its rows
+        checked = 0
+        for config, kind, snr, committed in committed_rows(("qam_lower",), (10.0, 30.0)):
+            row = cli.compute_row(config, kind, snr)
+            for col in ("value_bits", "std_error_bits", "seed", "n_samples"):
+                assert row[col] == committed[col], (config["antennas"], kind, snr, col)
+            checked += 1
+        assert checked == 4
+
 
 class TestCriterion1:
     def test_fig1_qam_gap(self, fig1):

@@ -112,6 +112,14 @@ class TestConfigParsing:
             parse_config(f"[mc]\n{key} = {low - 1}\n")
         assert getattr(parse_config(f"[mc]\n{key} = {low}\n"), key) == low
 
+    def test_q_levels_must_be_a_multiple_of_4(self):
+        # the mixture rows read the phase grid a quarter turn on
+        with pytest.raises(
+            UsageError, match="line 2: bad value for 'q_levels': must be a multiple of 4, got 202"
+        ):
+            parse_config("[mc]\nq_levels = 202\n")
+        assert parse_config("[mc]\nq_levels = 204\n").q_levels == 204
+
     def test_negative_parallelism(self):
         # it would silently mean all cores, as 0 does
         with pytest.raises(UsageError, match="line 2: bad value for 'parallelism': must be >= 0"):

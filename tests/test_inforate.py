@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from functools import partial
 
@@ -33,6 +34,10 @@ from phasecap.mathcore import TWO_PI, rician_phase_pdf, wrapped_gaussian_entropy
 
 SIGMA_6DEG = np.deg2rad(6.0)
 ROTATED_QAM16 = Constellation(qam_constellation(16).symbols * np.exp(0.3j))
+# a product set whose levels are neither equally spaced nor symmetric, and
+# differ between the axes: L_re, -L_re, L_im and -L_im are four level sets
+UNEVEN_RE, UNEVEN_IM = np.array([-3.0, -1.0, 0.5, 4.0]), np.array([-2.0, 1.0, 3.0])
+UNEVEN_PRODUCT = Constellation((UNEVEN_RE[:, None] + 1j * UNEVEN_IM[None, :]).ravel())
 
 
 def logsumexp_rows(y, vectors, grid):
@@ -124,6 +129,22 @@ class TestForwardRecursion:
         states = np.empty_like(log_rows)
         _forward_filter(transition, np.exp(log_rows), states)
         assert np.max(np.abs(states - predictive)) < 1e-13
+
+    def test_in_place_rows_equal_the_broadcast_expressions(self):
+        # the conditional rows and the filter's likelihood are built in one
+        # (n, Q) buffer each, with the operations of these expressions
+        grid, transition = _phase_model(SIGMA_6DEG, 200)
+        rng = np.random.default_rng(5)
+        y = rng.standard_normal((500, 2)) + 1j * rng.standard_normal((500, 2))
+        x = qam_constellation(64).scaled_symbols(1e3, 2)[rng.integers(0, 64, (500, 2))]
+        ip = np.sum(np.conj(y) * x, axis=1)
+        const = -np.sum(np.abs(y) ** 2, axis=1) - np.sum(np.abs(x) ** 2, axis=1) - 2 * LOG_PI
+        re = np.cos(grid)[None, :] * ip.real[:, None] - np.sin(grid)[None, :] * ip.imag[:, None]
+        rows = inforate._conditional_log_rows(y, x, grid, 2)
+        assert np.array_equal(rows, 2.0 * re + const[:, None])
+        peak = np.max(rows, axis=1)
+        expected = np.cumsum(_forward_filter(transition, np.exp(rows - peak[:, None])) + peak)[-1]
+        assert _forward_loglik(transition, rows) == expected
 
     def test_stored_states_leave_the_normalizers_unchanged(self):
         _, transition = _phase_model(SIGMA_6DEG, 200)
@@ -220,30 +241,39 @@ class TestQamRate:
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("snr_db", [10.0, 30.0])
     def test_factored_equals_unfactored_rows(self, order, m, snr_db):
+        # the PAM axes read the first half-turn of Re p; Q = 200 is the
+        # figure grid
         p = ChannelParams(m, SIGMA_6DEG, 10.0 ** (snr_db / 10.0))
-        grid, _ = _phase_model(SIGMA_6DEG, 64)
         symbols = qam_constellation(order).scaled_symbols(p.snr, m)
         x = symbols[np.random.default_rng(order).integers(0, order, size=(400, m))]
         y, _ = simulate(p, x, seed=[order, m])
-        factored = _mixture_log_rows_separable(y, symbols, grid, m)
-        assert np.max(np.abs(factored - per_antenna_logsumexp_rows(y, symbols, grid))) < 1e-10
+        for q_levels in (64, 200):
+            grid, _ = _phase_model(SIGMA_6DEG, q_levels)
+            factored = _mixture_log_rows_separable(y, symbols, grid, m)
+            reference = per_antenna_logsumexp_rows(y, symbols, grid)
+            assert np.max(np.abs(factored - reference)) < 1e-10, q_levels
 
     @pytest.mark.parametrize(
         "constellation, widths",
         [
-            (qam_constellation(64), [8, 8, 8, 8]),
+            (qam_constellation(64), [8, 8]),
             (psk_constellation(8), [8, 8]),
             (ROTATED_QAM16, [16, 16]),
+            (UNEVEN_PRODUCT, [4, 4, 3, 3, 4, 4, 3, 3]),
         ],
     )
     def test_square_qam_is_summed_over_its_axes(self, constellation, widths, monkeypatch):
-        # square QAM sums the 8 levels of each PAM axis, two calls per
-        # antenna; other sets sum all their symbols, one call per antenna
+        # a product set sums each distinct level set among L_re, -L_re, L_im
+        # and -L_im once per antenna, on the first half-turn (Q/2 phases):
+        # one call of 8 levels for square 64-QAM, four for the uneven set;
+        # other sets sum all their symbols on all Q phases, one call per
+        # antenna
         seen = []
         kernel = inforate._add_logsumexp
 
         def spy(rows, c, points):
             seen.append(points.shape[0])
+            assert c[0].shape == (10, 8 if points.shape[1] == 1 else 16)
             return kernel(rows, c, points)
 
         monkeypatch.setattr(inforate, "_add_logsumexp", spy)
@@ -326,8 +356,7 @@ class TestQamRate:
         # be the nearest level's term. Rounding c on the mean spacing picks a
         # farther level for some c, and at this scale that level's peak
         # leaves the nearest level's exp above the float range
-        re, im = np.array([-3.0, -1.0, 0.5, 4.0]), np.array([-2.0, 1.0, 3.0])
-        symbols = 30.0 * (re[:, None] + 1j * im[None, :]).ravel()
+        symbols = 30.0 * UNEVEN_PRODUCT.symbols
         grid, _ = _phase_model(SIGMA_6DEG, 32)
         rng = np.random.default_rng(4)
         y = 60.0 * (rng.standard_normal((300, 2)) + 1j * rng.standard_normal((300, 2)))
@@ -336,6 +365,18 @@ class TestQamRate:
         sep = _mixture_log_rows_separable(y, symbols, grid, 2)
         dense = _mixture_log_rows_dense(y, vectors, grid, 2)
         assert np.max(np.abs(sep - dense)) < 1e-10
+
+    def test_peak_memory_is_two_rows_arrays(self):
+        # a pass holds its (n, Q) log rows and the filter's likelihood; no
+        # other pass's rows are alive then (tracemalloc sees numpy's buffers)
+        p = ChannelParams(2, SIGMA_6DEG, 1e3)
+        tracemalloc.start()
+        try:
+            qam_rate(p, qam_constellation(64), 200, 1000, 2, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 1000 * 200 * 8
 
     def test_mixture_size_is_the_number_summed(self):
         qam16 = qam_constellation(16)
@@ -353,6 +394,8 @@ class TestQamRate:
     "q_levels, n_blocks, message",
     [
         pytest.param(7, 2, "q_levels must be >= 8", id="q_levels"),
+        # the mixture rows read the grid a quarter turn on
+        pytest.param(202, 2, "q_levels must be a multiple of 4", id="q_levels_multiple_of_4"),
         # one block would report a standard error of 0
         pytest.param(64, 1, "n_blocks must be >= 2", id="n_blocks"),
     ],
@@ -367,6 +410,12 @@ def test_recursion_budget_below_minimum_rejected(q_levels, n_blocks, message):
     ):
         with pytest.raises(ConfigurationError, match=message):
             recursion(q_levels, 200, n_blocks)
+
+
+def test_q_levels_on_the_quarter_turn_accepted():
+    p = ChannelParams(1, SIGMA_6DEG, 10.0)
+    assert np.isfinite(qam_rate(p, qam_constellation(16), 204, 100, 2).value_bits)
+    assert build_predictive_ensemble(p, 204, 200, 2, past_window=100).grid.size == 204
 
 
 def single_pilot_entropy_oracle(xi, rho, sigma, n_mc=30_000, seed=17):

@@ -2,6 +2,7 @@
 of package functions by name and read the ensemble's arrays; a rename or a
 changed shape in the package must fail here, not only in the benchmark."""
 
+import dataclasses
 import inspect
 import os
 import re
@@ -9,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from phasecap import bounds, entropy, inforate
+from phasecap import bounds, cli, entropy, inforate
 from phasecap.channel import ChannelParams
 
 PROBES = os.path.join(
@@ -66,3 +67,28 @@ def test_one_step_entropy_reaches_conv_entropies_after_a_u_s_row(monkeypatch):
     ((args, kwargs),) = calls
     assert len(args) == 2 and kwargs == {}
     assert args[0] == params.sigma_delta and args[1].ndim == 1
+
+
+def test_qam_row_runs_one_block_per_forward_pass(monkeypatch):
+    # the forward_loglik probe times float(_forward_loglik(*args)) on the
+    # arguments of a qam_lower row's first call: one block's
+    # (block_length, q_levels) rows, to one scalar log-likelihood
+    config = dataclasses.asdict(
+        cli.parse_config(
+            "[channel]\nantennas = 2\n[mc]\nblock_length = 100\nn_blocks = 2\n"
+            "q_levels = 32\nconstellation = qam16\n"
+        )
+    )
+    forward = inforate._forward_loglik
+    shapes = []
+
+    def spy(transition, log_rows):
+        value = forward(transition, log_rows)
+        float(value)  # as the probe does
+        shapes.append((transition.shape, log_rows.shape))
+        return value
+
+    monkeypatch.setattr(inforate, "_forward_loglik", spy)
+    assert cli.compute_row(config, "qam_lower", 20.0)["kind"] == "qam_lower"
+    # a conditional and a mixture pass per block
+    assert shapes == [((32, 32), (100, 32))] * 4
