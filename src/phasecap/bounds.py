@@ -9,7 +9,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .entropy import (
-    LOG_2PI, BoundRecord, clear_tables, entropy_abs_sq, entropy_delta_plus_phase,
+    LOG_2PI, BoundRecord, end_row, entropy_abs_sq, entropy_delta_plus_phase,
     expect_log_noncentral,
 )
 from .errors import DomainError, OptimizationError
@@ -196,7 +196,9 @@ def upper_bound_U(
 def upper_bound_Us(params, n_samples=100_000, seed=0):
     """Simplified upper bound: the memory term is the one-step entropy
     h(Delta + phi_0(xi^2) | |xi + z_0|), no forward recursion involved.
-    Every xi of the row shares one amplitude draw and one set of kappa tables."""
+    Every xi of the row shares one amplitude draw and the kappa tables. The
+    draws are dropped when the row ends, and so are the tables, unless a
+    sweep shares them (`entropy.sweep_tables`)."""
     _check_params(params)
     meta = {"n_samples": int(n_samples), "seed": int(seed)}
     try:
@@ -206,7 +208,7 @@ def upper_bound_Us(params, n_samples=100_000, seed=0):
             meta,
         )
     finally:
-        clear_tables()
+        end_row()
 
 
 def memoryless_plus_correction(params):

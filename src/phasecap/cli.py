@@ -34,7 +34,7 @@ from .channel import (
     singular_value_bounds,
     wavelength_from_ghz,
 )
-from .entropy import MIN_N_SAMPLES, entropy_abs_sq
+from .entropy import MIN_N_SAMPLES, entropy_abs_sq, sweep_tables
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -305,12 +305,12 @@ _U_FIELDS = ("block_length", "n_blocks", "q_levels", "past_window")
 _QAM_FIELDS = ("block_length", "n_blocks", "q_levels", "constellation")
 
 KINDS = {
-    "U": Kind(_U_FIELDS, None, _upper_U, version=6),
+    "U": Kind(_U_FIELDS, None, _upper_U, version=7),
     "U_s": Kind(("n_samples",), None, _upper_Us, version=6),
     "asymptotic": Kind((), None, _asymptotic),
     "memoryless_plus_corr": Kind((), None, _memoryless_plus_corr, version=4),
     "qam_lower": Kind(_QAM_FIELDS, None, _qam_lower, version=4),
-    "nonunitary_upper": Kind(_U_FIELDS, max, _upper_U, version=6),
+    "nonunitary_upper": Kind(_U_FIELDS, max, _upper_U, version=7),
     "nonunitary_lower": Kind(_QAM_FIELDS, min, _qam_lower, version=4),
 }
 
@@ -380,7 +380,9 @@ def run_sweep(config, progress=None):
     append-only directory with atomic replacement, as soon as each is done;
     a failed row goes to the CSV only. A row that raises stops no other
     row: every task runs, then the first exception is re-raised. The e2
-    memo starts empty, so a sweep's work does not depend on earlier ones.
+    memo starts empty, and the U_s rows share their kappa tables, which
+    start empty and are dropped when the sweep ends, so a sweep's work does
+    not depend on earlier ones.
     """
     entropy_abs_sq.cache_clear()
     tasks = [(kind, snr) for kind in config.kinds for snr in config.snr_grid_db()]
@@ -402,6 +404,7 @@ def run_sweep(config, progress=None):
     workers = config.parallelism if config.parallelism > 0 else (os.cpu_count() or 1)
     error = None
     with ExitStack() as stack:
+        stack.enter_context(sweep_tables())
         if workers > 1 and len(pending) > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             futures = {pool.submit(compute_row, config_dict, *task[:2]): task for task in pending}

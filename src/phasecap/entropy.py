@@ -3,14 +3,16 @@
 The expected log of the output norm is in closed form (exponential integral
 and Kummer functions); the entropy of |xi + z|^2 is a quadrature against its
 Bessel density; Monte Carlo is used only for the outer amplitude average of
-the one-step conditional entropy, whose draws and kappa tables are memoized
-for one U_s row. The tables are cubic Hermite splines in log1p(kappa)
+the one-step conditional entropy, whose draws are memoized for one U_s row
+and whose kappa tables for one row, or for a whole sweep inside
+`sweep_tables()`. The tables are cubic Hermite splines in log1p(kappa)
 whose node slopes are central differences. All values are in nats.
 `mean_se` is the one (mean, standard error) estimator of every Monte Carlo
 term in the package, and `BoundRecord` the one result type of every bound
 and rate.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -168,9 +170,34 @@ def _unit_table(sigma, u):
 
 
 def clear_tables():
-    """Forget the memoized draws and kappa tables (one U_s row shares them)."""
+    """Forget the memoized draws and kappa tables."""
     _amplitude_draws.cache_clear()
     _unit_table.cache_clear()
+
+
+_tables_shared = False
+
+
+@contextmanager
+def sweep_tables():
+    """Inside the block, the U_s rows share their kappa tables (worker
+    processes forked inside it inherit that); it starts and ends with none."""
+    global _tables_shared
+    clear_tables()
+    _tables_shared = True
+    try:
+        yield
+    finally:
+        _tables_shared = False
+        clear_tables()
+
+
+def end_row():
+    """Forget a finished U_s row's draws, and its kappa tables too unless a
+    `sweep_tables()` block shares them with later rows."""
+    _amplitude_draws.cache_clear()
+    if not _tables_shared:
+        _unit_table.cache_clear()
 
 
 def entropy_delta_plus_phase(xi, sigma, n_samples=100_000, seed=0):
@@ -187,7 +214,7 @@ def entropy_delta_plus_phase(xi, sigma, n_samples=100_000, seed=0):
     mean and the standard error then carry only summation rounding (the
     error is about 1e-17 at some draw counts, not 0). The draws and the
     tables depend only on (n_samples, seed) and (sigma, unit), and are
-    memoized until `clear_tables()`.
+    memoized until `end_row()` or `clear_tables()`.
 
     Returns (value, std_error) in nats; deterministic given the arguments.
     Raises NumericUnderflowError when a kappa exceeds KAPPA_MAX.

@@ -10,9 +10,11 @@ Two consumers:
   * `adaptive_predictive_ensemble` — the full-memory conditional
     differential entropy term of the capacity upper bound
     (`PredictiveEnsemble.cond_entropy`), via a pilot-tracking recursion to
-    the one-step predictive phase density. Each density is kept once more
-    on its W live levels around its peak, and `cond_entropy` sums over
-    those only.
+    the one-step predictive phase density. The pilot likelihood reads the
+    phase difference only through its cosine, an outer product of the
+    cosines and sines of pilot and grid phases. Each density is kept once
+    more on its W live levels around its peak, and `cond_entropy` sums over
+    those only, in one (W, N) buffer. One ensemble is alive at a time.
 
 Both are Monte Carlo means over independent blocks, with the block-level
 standard error of `entropy.mean_se`. Both step one forward filter,
@@ -20,13 +22,14 @@ standard error of `entropy.mean_se`. Both step one forward filter,
 row, normalize, predict. The QAM passes hand it the exps of their log rows
 less each row's peak, and each pass's (n, Q) rows are dropped when it
 returns. The input average of `qam_rate` (the mixture rows) is one
-log-sum-exp kernel, `_add_logsumexp`, over real points, whatever the set,
-run one cache-sized row block at a time (exact: every operation is row-wise).
+log-sum-exp kernel, `_add_logsumexp`, over real points, whatever the set.
+The mixture rows, the pilot likelihood rows and the live-window search run
+one cache-sized row block at a time (exact: every operation is row-wise).
 For square QAM the points are the levels of a PAM axis, on the first
 half-turn of the grid only; the rest is read off by symmetry.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
@@ -34,7 +37,7 @@ from scipy import special
 from .channel import simulate, wiener_phase
 from .entropy import LOG_2PI, BoundRecord, mean_se, sample_circular_gaussian
 from .errors import ConfigurationError, DomainError, NumericUnderflowError
-from .mathcore import TWO_PI, rician_phase_pdf, wrapped_gaussian_cdf
+from .mathcore import TWO_PI, _rician_cos_pdf, wrapped_gaussian_cdf
 
 LOG_PI = float(np.log(np.pi))
 
@@ -60,12 +63,16 @@ PREDICTIVE_CUT = 1e-18
 # adds at most e^-700 to a sum that is at least 1, below half an ulp of it.
 EXP_FLOOR = -700.0
 
-# Cells per row block of the mixture rows: a pass over a block stays in L2.
-MIXTURE_BLOCK_CELLS = 2**15
+# Cells per row block of the mixture rows, the pilot likelihood rows and the
+# live-window search: a pass over a block stays in L2.
+ROW_BLOCK_CELLS = 2**15
 
 
-def _wrap_pm_pi(x):
-    return np.mod(x + np.pi, TWO_PI) - np.pi
+def _row_blocks(n, q):
+    """Slices of about ROW_BLOCK_CELLS cells over n rows of Q cells each."""
+    step = max(1, ROW_BLOCK_CELLS // q)
+    for start in range(0, n, step):
+        yield slice(start, start + step)
 
 
 def _phase_model(sigma_delta, q_levels):
@@ -206,7 +213,7 @@ def _mixture_log_rows_separable(y, symbols, grid, m):
     an axis reads r = (q + s) mod Q: f_L at r when r < Q/2, f_{-L} at
     r - Q/2 otherwise. Against sums over all Q phases, only rounding moves.
 
-    The rows go one block of about MIXTURE_BLOCK_CELLS cells at a time, so
+    The rows go one block of about ROW_BLOCK_CELLS cells at a time, so
     that the passes stay in cache; every operation is row-wise, so that
     changes no bit.
     """
@@ -222,9 +229,8 @@ def _mixture_log_rows_separable(y, symbols, grid, m):
     else:
         points = np.stack([symbols.real, symbols.imag], axis=1)
     rows = np.zeros((y.shape[0], q))
-    step = max(1, MIXTURE_BLOCK_CELLS // q)
-    for start in range(0, y.shape[0], step):
-        yb, out = y[start : start + step], rows[start : start + step]
+    for block in _row_blocks(y.shape[0], q):
+        yb, out = y[block], rows[block]
         if product:
             for yr, yi in zip(yb.real.T, yb.imag.T):
                 c = np.multiply.outer(yr, cos_h) + np.multiply.outer(yi, sin_h)  # Re p
@@ -301,16 +307,22 @@ def _live_window(predictive, grid):
     the (W, N) window of densities, one row per offset. W = 2 half + 1 is the
     smallest width that holds every level above PREDICTIVE_CUT of its row's
     peak, over all rows; once that would reach Q, the window is all Q levels.
+    The half-width is a running max over row blocks, so the search holds no
+    array larger than a block.
     """
     n, q = predictive.shape
-    flat = predictive.ravel()
-    peak = predictive.argmax(axis=1)
-    row_start = np.arange(n) * q
-    at_peak = row_start + peak  # flat index of each row's peak
-    live = np.flatnonzero(predictive > PREDICTIVE_CUT * flat[at_peak][:, None])
-    step = (live - at_peak[live // q]) % q  # level of each live cell, counted from its peak
-    half = int(np.minimum(step, q - step).max())
+    peak = np.empty(n, dtype=np.intp)
+    half = 0
+    for block in _row_blocks(n, q):
+        dens, pk = predictive[block], peak[block]
+        np.argmax(dens, axis=1, out=pk)
+        top = np.take_along_axis(dens, pk[:, None], axis=1)
+        row, level = np.nonzero(dens > PREDICTIVE_CUT * top)
+        step = np.abs(level - pk[row])  # circular distance of a live level from its peak
+        half = max(half, int(np.minimum(step, q - step).max()))
     steps = np.arange(min(2 * half + 1, q)) - half
+    flat = predictive.ravel()
+    row_start = np.arange(n) * q
     window = np.empty((steps.size, n))
     for out, j in zip(window, steps):
         np.take(flat, row_start + (peak + j) % q, out=out)
@@ -361,7 +373,8 @@ class PredictiveEnsemble:
         the realized observation, and averages per block. The convolution
         runs over each sample's window only; with v = u0 - centre,
         cos(u0 - centre - d) = cos v cos d + sin v sin d is an outer product
-        over the (W,) offsets d and the (N,) samples.
+        over the (W,) offsets d and the (N,) samples, built in one (W, N)
+        buffer: the sin d sin v term is added row by row.
         """
         if xi < 0:
             raise DomainError(f"xi must be >= 0, got {xi}")
@@ -372,7 +385,9 @@ class PredictiveEnsemble:
         kappa = 2.0 * r * xi
         v = self.theta + np.angle(zr) - self.centre
         t = np.multiply.outer(np.cos(self.offsets), np.cos(v))
-        t += np.multiply.outer(np.sin(self.offsets), np.sin(v))
+        sin_v = np.sin(v)
+        for row, sin_d in zip(t, np.sin(self.offsets)):
+            row += sin_d * sin_v
         t -= 1.0
         t *= kappa
         mix = np.einsum("wn,wn->n", self.window, np.exp(t, out=t))
@@ -382,6 +397,20 @@ class PredictiveEnsemble:
             )
         values = -np.log(mix) + np.log(TWO_PI * special.i0e(kappa))
         return mean_se(np.array([block.mean() for block in np.split(values, self.n_blocks)]))
+
+
+def _pilot_likelihood(u, grid, snr):
+    """Rows p(u_l | theta_q) = f_phi(u_l - theta_q; snr), shape (n, Q), of the
+    pilot phases u. The density reads its phase only through the cosine,
+    cos(u - theta) = cos u cos theta + sin u sin theta, an outer product that
+    goes one row block at a time."""
+    lik = np.empty((u.size, grid.size))
+    cos_g, sin_g = np.cos(grid), np.sin(grid)
+    for block in _row_blocks(*lik.shape):
+        c = np.multiply.outer(np.cos(u[block]), cos_g)
+        c += np.multiply.outer(np.sin(u[block]), sin_g)
+        lik[block] = _rician_cos_pdf(c, snr)
+    return lik
 
 
 def build_predictive_ensemble(
@@ -416,13 +445,13 @@ def build_predictive_ensemble(
         z_pilot = sample_circular_gaussian(rng, n)
         z_test = sample_circular_gaussian(rng, n)
         u = np.mod(theta + np.angle(1.0 + z_pilot / np.sqrt(params.snr)), TWO_PI)
-        lik = rician_phase_pdf(_wrap_pm_pi(u[:, None] - grid[None, :]), params.snr)
+        lik = _pilot_likelihood(u, grid, params.snr)
 
         base = b * keep
         states = np.empty_like(lik)
         _forward_filter(transition, lik, states)
         predictive[base : base + keep] = states[burn:]
-        del states  # not held while the next block's likelihood is built
+        del lik, states  # not held while the next block's likelihood is built
         theta_out[base : base + keep] = theta[burn:]
         z_out[base : base + keep] = z_test[burn:]
 
@@ -439,6 +468,8 @@ def adaptive_predictive_ensemble(
     its std error, after at most three doublings, or before a window would
     leave a block fewer than MIN_KEPT_STEPS samples. The pilot recursion
     runs once: a wider window w' drops the first w' - w samples of each block.
+    One ensemble is alive at a time: the narrower one and its live window go
+    before the kept densities are copied and the wider window is built.
     """
     ensemble = build_predictive_ensemble(
         params, q_levels, block_length, n_blocks, seed, past_window
@@ -451,11 +482,14 @@ def adaptive_predictive_ensemble(
             break
         keep = ensemble.n_samples // n_blocks
         rows = np.arange(ensemble.n_samples) % keep >= window - ensemble.past_window
-        sliced = {f: getattr(ensemble, f)[rows] for f in ("predictive", "theta", "z_test")}
-        wider = replace(ensemble, past_window=window, **sliced)
-        new_value, new_se = wider.cond_entropy(xi_ref)
+        grid, predictive, blocks = ensemble.grid, ensemble.predictive, ensemble.n_blocks
+        theta, z_test = ensemble.theta[rows], ensemble.z_test[rows]
+        del ensemble  # the narrower window goes first
+        predictive = predictive[rows]  # and then the narrower densities
+        ensemble = PredictiveEnsemble(grid, predictive, theta, z_test, window, blocks)
+        new_value, new_se = ensemble.cond_entropy(xi_ref)
         moved = abs(new_value - value)
-        ensemble, value = wider, new_value
+        value = new_value
         if moved < 0.5 * max(new_se, 1e-12):
             break
     return ensemble

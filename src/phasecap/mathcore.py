@@ -1,7 +1,8 @@
 """Wrapped/circular probability primitives and the Gauss-Legendre quadrature.
 
 Everything here is a pure function of its arguments. Entropies are in nats;
-angles in radians; densities in 1/radian.
+angles in radians; densities in 1/radian. The Rician phase density is also
+given as a function of the cosine of the phase (`_rician_cos_pdf`).
 """
 
 from functools import lru_cache
@@ -85,6 +86,19 @@ def wrapped_gaussian_entropy(sigma):
     return DEFAULT_QUADRATURE.integrate(neg_flogf, 0.0, TWO_PI)
 
 
+def _rician_cos_pdf(c, a):
+    """`rician_phase_pdf` as a function of c = cos(phi), for c in [-1, 1] (up
+    to rounding) and a >= 0: the density reads phi only through its cosine."""
+    root_a = np.sqrt(a)
+    sin_sq = 1.0 - c * c
+    # Split on the sign of cos(phi) so every exponent stays <= 0.
+    pos = np.exp(-a * sin_sq) * (1.0 + special.erf(root_a * c))
+    neg = np.exp(-a) * special.erfcx(-root_a * np.minimum(c, 0.0))
+    bessel_term = np.sqrt(np.pi * a) * c * np.where(c > 0, pos, neg)
+    # The closed form is > 0 analytically; clip last-ulp negatives/underflow.
+    return np.maximum((np.exp(-a) + bessel_term) / TWO_PI, np.finfo(float).tiny)
+
+
 def rician_phase_pdf(phi, a):
     """Exact density of the phase of 1 + z/sqrt(a), z ~ CN(0, 1).
 
@@ -102,16 +116,7 @@ def rician_phase_pdf(phi, a):
     """
     if a < 0:
         raise DomainError(f"a must be >= 0, got {a}")
-    phi = _as_float_array(phi)
-    c = np.cos(phi)
-    root_a = np.sqrt(a)
-    sin_sq = 1.0 - c * c
-    # Split on the sign of cos(phi) so every exponent stays <= 0.
-    pos = np.exp(-a * sin_sq) * (1.0 + special.erf(root_a * c))
-    neg = np.exp(-a) * special.erfcx(-root_a * np.minimum(c, 0.0))
-    bessel_term = np.sqrt(np.pi * a) * c * np.where(c > 0, pos, neg)
-    # The closed form is > 0 analytically; clip last-ulp negatives/underflow.
-    out = np.maximum((np.exp(-a) + bessel_term) / TWO_PI, np.finfo(float).tiny)
+    out = _rician_cos_pdf(np.cos(_as_float_array(phi)), a)
     return out if out.ndim else float(out)
 
 

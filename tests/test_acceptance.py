@@ -169,6 +169,16 @@ class TestCommittedRows:
             checked += 1
         assert checked == 4
 
+    def test_u_rows_recompute_bit_for_bit(self):
+        # the pilot blocks are seeded; any change in rounding moves a U row
+        checked = 0
+        for config, kind, snr, committed in committed_rows(("U",), (10.0, 30.0)):
+            row = cli.compute_row(config, kind, snr)
+            for col in ("value_bits", "std_error_bits", "opt_alpha", "opt_xi", "seed", "n_samples"):
+                assert row[col] == committed[col], (config["antennas"], kind, snr, col)
+            checked += 1
+        assert checked == 4
+
     def test_qam_lower_rows_recompute_bit_for_bit(self):
         # its blocks are seeded, and a change in rounding moves its rows
         checked = 0

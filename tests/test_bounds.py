@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from phasecap import bounds, entropy
+from phasecap import bounds, cli, entropy
 from phasecap.bounds import (
     LN2,
     _DualityOptimizer,
@@ -219,24 +220,58 @@ class TestUpperBounds:
         assert us.value_bits == pytest.approx(mem.value_bits, abs=1e-9)
 
 
-class TestOneStepTablesPerRow:
+US_SWEEP = """
+[channel]
+antennas = 1
+sigma_delta_degrees = 6.0
+[sweep]
+start_db = 20
+stop_db = 30
+step_db = 10
+kinds = U_s
+[mc]
+n_samples = 2000
+[run]
+master_seed = 7
+parallelism = 1
+[output]
+csv = {csv}
+cache_dir = {cache}
+"""
+
+
+class TestOneStepTablesPerSweep:
     @staticmethod
-    def memos_empty():
+    def memo_sizes():
+        """(draws, kappa tables) memoized."""
         return (
-            entropy._amplitude_draws.cache_info().currsize == 0
-            and entropy._unit_table.cache_info().currsize == 0
+            entropy._amplitude_draws.cache_info().currsize,
+            entropy._unit_table.cache_info().currsize,
         )
 
-    def test_memos_cleared_when_the_row_returns_or_raises(self):
-        upper_bound_Us(ChannelParams(1, SIGMA_6DEG, 100.0), n_samples=2000, seed=5)
-        assert self.memos_empty()
-        # at 90 dB kappa = 2 r xi passes the Bessel range at the largest xi
-        with pytest.raises(NumericUnderflowError):
-            upper_bound_Us(ChannelParams(1, SIGMA_6DEG, 1e9), n_samples=1000, seed=5)
-        assert self.memos_empty()
+    def test_draws_dropped_and_tables_kept_when_the_row_returns_or_raises(self):
+        with entropy.sweep_tables():
+            upper_bound_Us(ChannelParams(1, SIGMA_6DEG, 100.0), n_samples=2000, seed=5)
+            draws, tables = self.memo_sizes()
+            assert draws == 0 and tables > 0
+            # at 90 dB kappa = 2 r xi passes the Bessel range at the largest xi
+            with pytest.raises(NumericUnderflowError):
+                upper_bound_Us(ChannelParams(1, SIGMA_6DEG, 1e9), n_samples=1000, seed=5)
+            draws, more_tables = self.memo_sizes()
+            assert draws == 0 and more_tables > tables
+        assert self.memo_sizes() == (0, 0)
 
-    def test_each_unit_table_is_built_once_per_row(self, monkeypatch):
-        calls = []
+    def test_a_row_outside_a_sweep_drops_its_tables(self):
+        upper_bound_Us(ChannelParams(1, SIGMA_6DEG, 100.0), n_samples=2000, seed=5)
+        assert self.memo_sizes() == (0, 0)
+
+    def test_each_unit_table_is_built_once_per_sweep(self, tmp_path, monkeypatch):
+        # a sweep starts with no tables, its two U_s rows share theirs, and
+        # they are dropped when it ends
+        entropy.entropy_delta_plus_phase(31.0, SIGMA_6DEG, 2000, 5)
+        assert self.memo_sizes()[1] > 0
+        config = cli.parse_config(US_SWEEP.format(csv=tmp_path / "us.csv", cache=tmp_path / "c"))
+        calls, done = [], []
         conv = entropy._conv_entropies
 
         def spy(sigma, kappas):
@@ -244,17 +279,18 @@ class TestOneStepTablesPerRow:
             return conv(sigma, kappas)
 
         monkeypatch.setattr(entropy, "_conv_entropies", spy)
-        params = ChannelParams(1, SIGMA_6DEG, 100.0)
-        upper_bound_Us(params, n_samples=2000, seed=5)
-        first = calls[:]
-        units = [int(np.rint(np.log1p(kappas[0]))) for kappas in first]
-        # xi runs from 0 to 10 and r = |xi + z| below 14, so t = log1p(2 r xi) < 6
-        assert sorted(units) == list(range(6))
-        assert all(kappas.size == entropy.NODES_PER_UNIT + 3 for kappas in first)
-        calls.clear()
-        upper_bound_Us(params, n_samples=2000, seed=5)
-        assert len(calls) == len(first)
-        assert all(np.array_equal(a, b) for a, b in zip(calls, first))
+        cli.run_sweep(config, progress=lambda kind, snr, row: done.append((snr, row)))
+        assert self.memo_sizes() == (0, 0)
+        # xi runs up to sqrt(rho) = 31.6 at 30 dB and r = |xi + z| below 35,
+        # so t = log1p(2 r xi) < 8: units 0-7, each built once
+        assert sorted(int(np.rint(np.log1p(kappas[0]))) for kappas in calls) == list(range(8))
+        assert all(kappas.size == entropy.NODES_PER_UNIT + 3 for kappas in calls)
+        assert [snr for snr, _ in done] == [20.0, 30.0]
+        monkeypatch.undo()
+        for snr, warm in done:
+            cold = cli.compute_row(dataclasses.asdict(config), "U_s", snr)
+            for col in ("value_bits", "std_error_bits", "opt_alpha", "opt_xi", "seed"):
+                assert warm[col] == cold[col], (snr, col)
 
 
 class TestConstantModulusStructure:

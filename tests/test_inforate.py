@@ -1,6 +1,8 @@
 import math
+import os
 import tracemalloc
 import warnings
+from dataclasses import asdict, replace
 from functools import partial
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from scipy import special
 from scipy.interpolate import PchipInterpolator
 
-from phasecap import inforate
+from phasecap import cli, inforate
 from phasecap.bounds import upper_bound_U
 from phasecap.channel import (
     ChannelParams,
@@ -16,16 +18,20 @@ from phasecap.channel import (
     psk_constellation,
     qam_constellation,
     simulate,
+    wiener_phase,
 )
 from phasecap.entropy import LOG_2PI, entropy_delta_plus_phase, mean_se, sample_circular_gaussian
 from phasecap.errors import ConfigurationError, DomainError, NumericUnderflowError
 from phasecap.inforate import (
     LOG_PI,
+    MIN_KEPT_STEPS,
+    PREDICTIVE_CUT,
     _forward_filter,
     _forward_loglik,
     _mixture_log_rows_dense,
     _mixture_log_rows_separable,
     _phase_model,
+    _pilot_likelihood,
     adaptive_predictive_ensemble,
     build_predictive_ensemble,
     qam_rate,
@@ -154,10 +160,42 @@ class TestForwardRecursion:
 
     def test_pilot_recursion_underflow_error(self, monkeypatch):
         # a pilot likelihood of 0 everywhere reaches the filter's one check
-        monkeypatch.setattr(inforate, "rician_phase_pdf", lambda x, snr: np.zeros_like(x))
+        monkeypatch.setattr(inforate, "_rician_cos_pdf", lambda c, snr: np.zeros_like(c))
         p = ChannelParams(1, SIGMA_6DEG, 4.0)
         with pytest.raises(NumericUnderflowError, match="forward-recursion weight"):
             build_predictive_ensemble(p, 64, block_length=200, n_blocks=2, seed=0, past_window=100)
+
+
+def pilot_phases(snr, n, seed=7):
+    """One block's pilot phase observations u, drawn as the pilot recursion
+    draws them."""
+    rng = np.random.default_rng([seed, 0, 0xE])
+    theta = wiener_phase(rng, SIGMA_6DEG, n)
+    z_pilot = sample_circular_gaussian(rng, n)
+    return np.mod(theta + np.angle(1.0 + z_pilot / np.sqrt(snr)), TWO_PI)
+
+
+class TestPilotLikelihood:
+    @pytest.mark.parametrize("snr_db", [10.0, 20.0, 30.0])
+    def test_cosine_product_matches_the_wrapped_phase(self, snr_db):
+        # reference: the density of the phase difference wrapped onto
+        # [-pi, pi), one cosine per cell; the two cosines differ in rounding
+        # only, which exp(-a sin^2) amplifies at high SNR
+        snr = 10.0 ** (snr_db / 10.0)
+        grid, _ = _phase_model(SIGMA_6DEG, 200)
+        u = pilot_phases(snr, 2000)
+        wrapped = np.mod(u[:, None] - grid[None, :] + np.pi, TWO_PI) - np.pi
+        ref = rician_phase_pdf(wrapped, snr)
+        lik = _pilot_likelihood(u, grid, snr)
+        assert np.max(np.abs(lik - ref) / ref) < 2e-12
+
+    def test_row_blocks_equal_one_block(self, monkeypatch):
+        # every operation is row-wise; 2000 rows of 200 cells end in a ragged block
+        grid, _ = _phase_model(SIGMA_6DEG, 200)
+        u = pilot_phases(100.0, 2000)
+        blocked = _pilot_likelihood(u, grid, 100.0)
+        monkeypatch.setattr(inforate, "ROW_BLOCK_CELLS", u.size * grid.size)
+        assert np.array_equal(blocked, _pilot_likelihood(u, grid, 100.0))
 
 
 class TestQamRate:
@@ -342,13 +380,13 @@ class TestQamRate:
         # every operation is row-wise, so blocking cannot move a bit; the
         # last block is ragged
         grid, _ = _phase_model(SIGMA_6DEG, 64)
-        step = inforate.MIXTURE_BLOCK_CELLS // grid.size
+        step = inforate.ROW_BLOCK_CELLS // grid.size
         p = ChannelParams(m, SIGMA_6DEG, 100.0)
         symbols = constellation.scaled_symbols(p.snr, m)
         x = symbols[np.random.default_rng(m).integers(0, symbols.size, size=(2 * step + 37, m))]
         y, _ = simulate(p, x, seed=[symbols.size, m])
         blocked = _mixture_log_rows_separable(y, symbols, grid, m)
-        monkeypatch.setattr(inforate, "MIXTURE_BLOCK_CELLS", len(y) * grid.size)
+        monkeypatch.setattr(inforate, "ROW_BLOCK_CELLS", len(y) * grid.size)
         assert np.array_equal(blocked, _mixture_log_rows_separable(y, symbols, grid, m))
 
     def test_unequally_spaced_product_set(self):
@@ -463,7 +501,72 @@ def full_grid_cond_entropy(ens, xi):
     return mean_se(np.array([block.mean() for block in np.split(values, ens.n_blocks)]))
 
 
+def whole_array_live_window(predictive, grid):
+    """`_live_window` with one search over the whole (N, Q) array, through
+    the flat index of every live cell: the reference for the search by row
+    blocks."""
+    n, q = predictive.shape
+    flat = predictive.ravel()
+    peak = predictive.argmax(axis=1)
+    row_start = np.arange(n) * q
+    at_peak = row_start + peak
+    live = np.flatnonzero(predictive > PREDICTIVE_CUT * flat[at_peak][:, None])
+    step = (live - at_peak[live // q]) % q
+    half = int(np.minimum(step, q - step).max())
+    steps = np.arange(min(2 * half + 1, q)) - half
+    window = np.empty((steps.size, n))
+    for out, j in zip(window, steps):
+        np.take(flat, row_start + (peak + j) % q, out=out)
+    return grid[peak], TWO_PI / q * steps, window
+
+
+def two_buffer_cond_entropy(ens, xi):
+    """`cond_entropy` with the sin d sin v term as a second (W, N) outer
+    product: the reference for the one-buffer sum."""
+    zr = xi + ens.z_test
+    kappa = 2.0 * np.abs(zr) * xi
+    v = ens.theta + np.angle(zr) - ens.centre
+    t = np.multiply.outer(np.cos(ens.offsets), np.cos(v))
+    t += np.multiply.outer(np.sin(ens.offsets), np.sin(v))
+    t -= 1.0
+    t *= kappa
+    mix = np.einsum("wn,wn->n", ens.window, np.exp(t, out=t))
+    values = -np.log(mix) + np.log(TWO_PI * special.i0e(kappa))
+    return mean_se(np.array([block.mean() for block in np.split(values, ens.n_blocks)]))
+
+
+def two_ensemble_doubling(params, q_levels, block_length, n_blocks, seed, past_window):
+    """`adaptive_predictive_ensemble` with each wider ensemble built from row
+    slices while the narrower one is still alive: the reference for one
+    ensemble at a time."""
+    ensemble = build_predictive_ensemble(
+        params, q_levels, block_length, n_blocks, seed, past_window
+    )
+    xi_ref = np.sqrt(params.snr)
+    value, _ = ensemble.cond_entropy(xi_ref)
+    for _ in range(3):
+        window = 2 * ensemble.past_window
+        if window + MIN_KEPT_STEPS > block_length:
+            break
+        keep = ensemble.n_samples // n_blocks
+        rows = np.arange(ensemble.n_samples) % keep >= window - ensemble.past_window
+        sliced = {f: getattr(ensemble, f)[rows] for f in ("predictive", "theta", "z_test")}
+        wider = replace(ensemble, past_window=window, **sliced)
+        new_value, new_se = wider.cond_entropy(xi_ref)
+        moved = abs(new_value - value)
+        ensemble, value = wider, new_value
+        if moved < 0.5 * max(new_se, 1e-12):
+            break
+    return ensemble
+
+
 class TestConditionalPhaseEntropy:
+    @staticmethod
+    def assert_whole_array_window(ens):
+        ref = whole_array_live_window(ens.predictive, ens.grid)
+        for name, value in zip(("centre", "offsets", "window"), ref):
+            assert np.array_equal(getattr(ens, name), value), name
+
     def test_zero_amplitude_uniform(self):
         p = ChannelParams(1, SIGMA_6DEG, 100.0)
         ens = build_predictive_ensemble(p, 100, block_length=300, n_blocks=2, seed=1, past_window=100)
@@ -483,6 +586,7 @@ class TestConditionalPhaseEntropy:
         p = ChannelParams(1, 10.0, 100.0)
         ens = build_predictive_ensemble(p, 100, block_length=300, n_blocks=2, seed=1, past_window=100)
         assert ens.window.shape == (100, ens.n_samples)
+        self.assert_whole_array_window(ens)
         for xi in (1.0, 5.0):
             assert ens.cond_entropy(xi) == pytest.approx(full_grid_cond_entropy(ens, xi), abs=1e-10)
 
@@ -620,6 +724,25 @@ class TestConditionalPhaseEntropy:
         monkeypatch.undo()
         self.assert_same_ensemble(ens, build_predictive_ensemble(p, 100, 300, 2, 9, 140))
 
+    @pytest.mark.parametrize("snr_db", [10.0, 20.0, 30.0])
+    def test_block_search_equals_the_whole_array_search(self, snr_db):
+        p = ChannelParams(1, SIGMA_6DEG, 10.0 ** (snr_db / 10.0))
+        self.assert_whole_array_window(build_predictive_ensemble(p, 200, 2000, 4, 7, 200))
+
+    @pytest.mark.parametrize("snr_db", [10.0, 30.0])
+    def test_one_buffer_equals_two_outer_products(self, snr_db):
+        p = ChannelParams(1, SIGMA_6DEG, 10.0 ** (snr_db / 10.0))
+        ens = build_predictive_ensemble(p, 200, 2000, 4, 7, 200)
+        for xi in np.linspace(0.05, 1.5 * np.sqrt(p.snr), 63):
+            assert ens.cond_entropy(xi) == two_buffer_cond_entropy(ens, xi), xi
+
+    @pytest.mark.parametrize("snr_db", [10.0, 30.0])
+    def test_one_ensemble_at_a_time_equals_two(self, snr_db):
+        p = ChannelParams(1, SIGMA_6DEG, 10.0 ** (snr_db / 10.0))
+        ens = adaptive_predictive_ensemble(p, 200, 2000, 4, 7, 200)
+        assert ens.past_window > 200
+        self.assert_same_ensemble(ens, two_ensemble_doubling(p, 200, 2000, 4, 7, 200))
+
     @pytest.mark.parametrize("block_length, past_window", [(300, 99), (300, 237), (200, 200)])
     def test_past_window_out_of_range_rejected(self, block_length, past_window):
         p = ChannelParams(1, SIGMA_6DEG, 50.0)
@@ -646,3 +769,19 @@ class TestConditionalPhaseEntropy:
         p = ChannelParams(1, SIGMA_6DEG, 4.0)
         with pytest.raises(ConfigurationError):
             build_predictive_ensemble(p, 64, block_length=50, n_blocks=2, seed=0)
+
+
+def test_figure_budget_u_row_peak_memory():
+    # a U row holds one ensemble at a time, one block's pilot rows and
+    # row-block temporaries: about 22 MB of numpy buffers at figure budgets
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", "fig1.cfg")
+    with open(path) as fh:
+        config = asdict(cli.parse_config(fh.read()))
+    tracemalloc.start()
+    try:
+        row = cli.compute_row(config, "U", 20.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row["kind"] == "U"
+    assert peak < 26e6

@@ -5,6 +5,7 @@ from phasecap.errors import DomainError
 from phasecap.mathcore import (
     DEFAULT_QUADRATURE,
     TWO_PI,
+    _rician_cos_pdf,
     rician_phase_pdf,
     wrap_truncation_order,
     wrapped_gaussian_cdf,
@@ -147,6 +148,13 @@ class TestRicianPhasePdf:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             rician_phase_pdf(0.0, -1.0)
+
+    @pytest.mark.parametrize("a", [0.0, 0.5, 10.0, 1e3, 3e4])
+    def test_density_of_the_cosine(self, a):
+        # the public density reads phi only through cos(phi)
+        phi = np.linspace(-7.0, 7.0, 20_001)
+        assert np.array_equal(rician_phase_pdf(phi, a), _rician_cos_pdf(np.cos(phi), a))
+        assert rician_phase_pdf(0.3, a) == _rician_cos_pdf(np.cos(0.3), a)
 
 
 class TestQuadrature:
