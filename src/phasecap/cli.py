@@ -305,12 +305,12 @@ _U_FIELDS = ("block_length", "n_blocks", "q_levels", "past_window")
 _QAM_FIELDS = ("block_length", "n_blocks", "q_levels", "constellation")
 
 KINDS = {
-    "U": Kind(_U_FIELDS, None, _upper_U, version=7),
-    "U_s": Kind(("n_samples",), None, _upper_Us, version=6),
+    "U": Kind(_U_FIELDS, None, _upper_U, version=8),
+    "U_s": Kind(("n_samples",), None, _upper_Us, version=7),
     "asymptotic": Kind((), None, _asymptotic),
     "memoryless_plus_corr": Kind((), None, _memoryless_plus_corr, version=4),
     "qam_lower": Kind(_QAM_FIELDS, None, _qam_lower, version=4),
-    "nonunitary_upper": Kind(_U_FIELDS, max, _upper_U, version=7),
+    "nonunitary_upper": Kind(_U_FIELDS, max, _upper_U, version=8),
     "nonunitary_lower": Kind(_QAM_FIELDS, min, _qam_lower, version=4),
 }
 

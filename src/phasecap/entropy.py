@@ -127,7 +127,10 @@ def _conv_entropies(sigma, kappas):
 
     Both factor densities are symmetric, so the convolution has the Fourier
     cosine series f(u) = (1/2pi)(1 + 2 sum_k c_k cos(k u)) with
-    c_k = exp(-k^2 sigma^2 / 2) * I_k(kappa)/I_0(kappa).
+    c_k = exp(-k^2 sigma^2 / 2) * I_k(kappa)/I_0(kappa): `ive` gives r_K =
+    I_K/I_{K-1} (0 where I_{K-1} underflows, as at kappa = 0), the stable
+    downward recurrence r_k = 1/(2k/kappa + r_{k+1}) the other ratios
+    r_k = I_k/I_{k-1}, and I_k/I_0 is their cumulative product.
     """
     kappas = np.atleast_1d(np.asarray(kappas, dtype=float))
     n_harm = _harmonic_count(sigma)
@@ -135,8 +138,13 @@ def _conv_entropies(sigma, kappas):
     cos_mat = _circle_grid(n_nodes, n_harm)
     k = np.arange(1, n_harm + 1)
     rho = np.exp(-0.5 * (k * sigma) ** 2)
-    ratio = special.ive(k[None, :], kappas[:, None]) / special.ive(0, kappas)[:, None]
-    coeff = rho[None, :] * ratio
+    ratio = np.empty((kappas.size, n_harm))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        below = special.ive(n_harm - 1, kappas)
+        ratio[:, -1] = np.where(below > 0.0, special.ive(n_harm, kappas) / below, 0.0)
+        for j in range(n_harm - 1, 0, -1):
+            ratio[:, j - 1] = 1.0 / (2.0 * j / kappas + ratio[:, j])
+    coeff = rho * np.cumprod(ratio, axis=1)
     f = (1.0 + 2.0 * coeff @ cos_mat) / TWO_PI
     f = np.maximum(f, 1e-300)
     return -(TWO_PI / n_nodes) * np.sum(f * np.log(f), axis=1)

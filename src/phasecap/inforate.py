@@ -10,11 +10,11 @@ Two consumers:
   * `adaptive_predictive_ensemble` — the full-memory conditional
     differential entropy term of the capacity upper bound
     (`PredictiveEnsemble.cond_entropy`), via a pilot-tracking recursion to
-    the one-step predictive phase density. The pilot likelihood reads the
-    phase difference only through its cosine, an outer product of the
-    cosines and sines of pilot and grid phases. Each density is kept once
-    more on its W live levels around its peak, and `cond_entropy` sums over
-    those only, in one (W, N) buffer. One ensemble is alive at a time.
+    the one-step predictive phase density, all blocks in one state. The
+    pilot likelihood reads the phase difference only through its cosine (an
+    outer product of pilot and grid terms). Each density is kept once more
+    on its W live levels around its peak, and `cond_entropy` sums over those
+    only, in one (W, N) buffer; a wider past window slices them in place.
 
 Both are Monte Carlo means over independent blocks, with the block-level
 standard error of `entropy.mean_se`. Both step one forward filter,
@@ -23,8 +23,8 @@ row, normalize, predict. The QAM passes hand it the exps of their log rows
 less each row's peak, and each pass's (n, Q) rows are dropped when it
 returns. The input average of `qam_rate` (the mixture rows) is one
 log-sum-exp kernel, `_add_logsumexp`, over real points, whatever the set.
-The mixture rows, the pilot likelihood rows and the live-window search run
-one cache-sized row block at a time (exact: every operation is row-wise).
+The mixture rows, the pilot likelihood chunks and the live-window search
+run one cache-sized block at a time (exact: every operation is row-wise).
 For square QAM the points are the levels of a PAM axis, on the first
 half-turn of the grid only; the rest is read off by symmetry.
 """
@@ -63,7 +63,7 @@ PREDICTIVE_CUT = 1e-18
 # adds at most e^-700 to a sum that is at least 1, below half an ulp of it.
 EXP_FLOOR = -700.0
 
-# Cells per row block of the mixture rows, the pilot likelihood rows and the
+# Cells per row block of the mixture rows, the pilot likelihood chunks and the
 # live-window search: a pass over a block stays in L2.
 ROW_BLOCK_CELLS = 2**15
 
@@ -105,27 +105,33 @@ def _check_blocks(q_levels, block_length, n_blocks):
         raise ConfigurationError(f"n_blocks must be >= {MIN_N_BLOCKS}, got {n_blocks}")
 
 
-def _forward_filter(transition, lik, states=None):
+def _forward_filter(transition, lik, states=None, state=None):
     """Predict-weight-normalize over the quantized phase, for the pilot and
     the QAM recursions alike.
 
-    `lik` holds (n, Q) likelihood rows in the linear domain. From the uniform
-    state predicted once (invariant up to rounding), each step keeps the state
-    (in `states[l]`, if given), weights it by its row, normalizes by the sum c
-    and predicts. Returns the (n,) log normalizers.
+    `lik` holds (n, Q) likelihood rows in the linear domain, or (n, B, Q)
+    rows of B chains stepped together as one (B, Q) state. From `state`
+    (updated in place) or else the uniform state predicted once, each step
+    keeps the state (in `states[l]`, if given), weights it by its row,
+    normalizes by the sum c and predicts. Returns the log normalizers; one
+    that is 0 or not finite raises after the last step.
     """
-    norms = np.empty(len(lik))
-    state = np.full(transition.shape[0], 1.0 / transition.shape[0]) @ transition
+    norms = np.empty(lik.shape[:-1])
+    if state is None:
+        state = np.full(lik.shape[1:], 1.0 / transition.shape[0]) @ transition
     v = np.empty_like(state)
-    for l, row in enumerate(lik):
-        if states is not None:
-            states[l] = state
-        c = norms[l] = np.multiply(state, row, out=v).sum()
-        if not 0.0 < c < np.inf:
-            raise NumericUnderflowError(
-                "forward-recursion weight underflowed; raise q_levels for this SNR"
-            )
-        np.dot(np.divide(v, c, out=v), transition, out=state)
+    vt = v.T  # (Q, B): c broadcasts over the chains
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for l, row in enumerate(lik):
+            if states is not None:
+                states[l] = state
+            c = norms[l] = np.multiply(state, row, out=v).sum(axis=-1)
+            np.divide(vt, c, out=vt)
+            np.dot(v, transition, out=state)
+    if not np.all((norms > 0.0) & (norms < np.inf)):
+        raise NumericUnderflowError(
+            "forward-recursion weight underflowed; raise q_levels for this SNR"
+        )
     return np.log(norms)
 
 
@@ -299,34 +305,39 @@ def qam_rate(
     return BoundRecord(*mean_se(block_rates), meta=meta)
 
 
+def _window_steps(half, q):
+    """Offsets -half .. W - half - 1 of a window of W = min(2 half + 1, Q) levels."""
+    return np.arange(min(2 * half + 1, q)) - half
+
+
 def _live_window(predictive, grid):
     """The levels of each predictive density that `cond_entropy` reads.
 
     Returns the phase of each row's peak level, the W phase offsets j h
-    (h = 2 pi / Q, j = -half .. W - half - 1) of the window around it, and
-    the (W, N) window of densities, one row per offset. W = 2 half + 1 is the
-    smallest width that holds every level above PREDICTIVE_CUT of its row's
-    peak, over all rows; once that would reach Q, the window is all Q levels.
-    The half-width is a running max over row blocks, so the search holds no
-    array larger than a block.
+    (h = 2 pi / Q, j from `_window_steps`) of the window around it, the
+    (W, N) window of densities, one row per offset, and each row's reach:
+    the circular distance from its peak to its farthest level above
+    PREDICTIVE_CUT of the peak. half is the largest reach. The reach is a
+    masked max over row blocks, so the search holds no array larger than a
+    block.
     """
     n, q = predictive.shape
-    peak = np.empty(n, dtype=np.intp)
-    half = 0
+    peak, reach = np.empty((2, n), dtype=np.intp)
     for block in _row_blocks(n, q):
         dens, pk = predictive[block], peak[block]
         np.argmax(dens, axis=1, out=pk)
         top = np.take_along_axis(dens, pk[:, None], axis=1)
-        row, level = np.nonzero(dens > PREDICTIVE_CUT * top)
-        step = np.abs(level - pk[row])  # circular distance of a live level from its peak
-        half = max(half, int(np.minimum(step, q - step).max()))
-    steps = np.arange(min(2 * half + 1, q)) - half
+        step = np.abs(np.arange(q) - pk[:, None])
+        np.minimum(step, q - step, out=step)  # circular distance from the peak
+        step[dens <= PREDICTIVE_CUT * top] = 0
+        step.max(axis=1, out=reach[block])
+    steps = _window_steps(int(reach.max()), q)
     flat = predictive.ravel()
     row_start = np.arange(n) * q
     window = np.empty((steps.size, n))
     for out, j in zip(window, steps):
         np.take(flat, row_start + (peak + j) % q, out=out)
-    return grid[peak], TWO_PI / q * steps, window
+    return grid[peak], TWO_PI / q * steps, window, reach
 
 
 @dataclass(frozen=True)
@@ -342,8 +353,8 @@ class PredictiveEnsemble:
     `predictive` is (N, Q), on the full grid. Construction keeps each density
     once more on its W live levels (see `_live_window`): `window` (W, N),
     centred on the level at phase `centre` (N,), at the phase `offsets` (W,)
-    from it. These are derived from `predictive`, so an ensemble built from
-    a row slice carries the window that a fresh build of those rows would.
+    from it, and each sample's `reach`. These are derived from `predictive`
+    and equal a fresh build's, also after `_widen`.
     """
 
     grid: np.ndarray
@@ -355,15 +366,39 @@ class PredictiveEnsemble:
     centre: np.ndarray = field(init=False, repr=False)
     offsets: np.ndarray = field(init=False, repr=False)
     window: np.ndarray = field(init=False, repr=False)
+    reach: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         live = _live_window(self.predictive, self.grid)
-        for name, value in zip(("centre", "offsets", "window"), live):
+        for name, value in zip(("centre", "offsets", "window", "reach"), live):
             object.__setattr__(self, name, value)
 
     @property
     def n_samples(self):
         return self.theta.size
+
+    def _widen(self, past_window):
+        """Drop each block's first `past_window - self.past_window` samples
+        in place, as a build with `past_window` would: the kept tails move to
+        the front of every array, a row block at a time, and the window keeps
+        the rows that the kept samples' largest reach needs."""
+        n, q = self.predictive.shape
+        half = int(self.reach.max())
+        rows = np.flatnonzero(np.arange(n) % (n // self.n_blocks) >= past_window - self.past_window)
+        # row i moves up from rows[i] >= i, so no block overwrites a later source
+        for name in ("predictive", "theta", "z_test", "centre", "reach"):
+            values = getattr(self, name)
+            front = values[: rows.size]
+            for block in _row_blocks(rows.size, q):
+                front[block] = values[rows[block]]
+            object.__setattr__(self, name, front)
+        steps = _window_steps(int(self.reach.max()), q)
+        window = self.window.ravel()[: steps.size * rows.size].reshape(steps.size, rows.size)
+        for out, old in zip(window, self.window[half + steps[0] :]):
+            out[:] = old[rows]  # lands before the old rows still to be read
+        object.__setattr__(self, "offsets", TWO_PI / q * steps)
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "past_window", past_window)
 
     def cond_entropy(self, xi):
         """h(theta_0 + phi_0(xi^2) | pilot past, |xi + z_0|) in nats.
@@ -400,17 +435,12 @@ class PredictiveEnsemble:
 
 
 def _pilot_likelihood(u, grid, snr):
-    """Rows p(u_l | theta_q) = f_phi(u_l - theta_q; snr), shape (n, Q), of the
-    pilot phases u. The density reads its phase only through the cosine,
-    cos(u - theta) = cos u cos theta + sin u sin theta, an outer product that
-    goes one row block at a time."""
-    lik = np.empty((u.size, grid.size))
-    cos_g, sin_g = np.cos(grid), np.sin(grid)
-    for block in _row_blocks(*lik.shape):
-        c = np.multiply.outer(np.cos(u[block]), cos_g)
-        c += np.multiply.outer(np.sin(u[block]), sin_g)
-        lik[block] = _rician_cos_pdf(c, snr)
-    return lik
+    """p(u | theta_q) = f_phi(u - theta_q; snr), shape u.shape + (Q,), of
+    the pilot phases u. The density reads its phase only through the cosine,
+    cos(u - theta) = cos u cos theta + sin u sin theta, an outer product."""
+    c = np.multiply.outer(np.cos(u), np.cos(grid))
+    c += np.multiply.outer(np.sin(u), np.sin(grid))
+    return _rician_cos_pdf(c, snr)
 
 
 def build_predictive_ensemble(
@@ -422,9 +452,11 @@ def build_predictive_ensemble(
     the exact phase likelihood p(u_l | theta_l) = f_phi(u_l - theta_l; snr).
     Each block runs `block_length` steps and keeps its states after the
     first `past_window`, the burn-in, which must lie in [MIN_PAST_WINDOW,
-    block_length - MIN_KEPT_STEPS]. The ensemble keeps the full (N, Q)
-    densities and, for `cond_entropy`, their live window. Nothing here reads
-    params.m: the ensemble is the same for every M.
+    block_length - MIN_KEPT_STEPS]. The blocks draw their own streams and
+    are stepped as one (n_blocks, Q) state, a chunk of about ROW_BLOCK_CELLS
+    likelihood cells at a time; each kept state goes straight into its row
+    of the full (N, Q) densities, which the ensemble keeps with their live
+    window. Nothing here reads params.m: the ensemble is the same for every M.
     """
     _check_blocks(q_levels, block_length, n_blocks)
     n, burn = int(block_length), int(past_window)
@@ -432,30 +464,31 @@ def build_predictive_ensemble(
         raise ConfigurationError(
             f"past_window must be in [{MIN_PAST_WINDOW}, {n - MIN_KEPT_STEPS}], got {past_window}"
         )
-    keep = n - burn
     grid, transition = _phase_model(params.sigma_delta, q_levels)
+    q = grid.size
 
-    predictive = np.empty((n_blocks * keep, grid.size))
-    theta_out = np.empty(n_blocks * keep)
-    z_out = np.empty(n_blocks * keep, dtype=complex)
-
+    theta, z_test = np.empty((n_blocks, n)), np.empty((n_blocks, n), dtype=complex)
+    u = np.empty((n, n_blocks))  # step-major: a chunk of steps is one slice
     for b in range(n_blocks):
         rng = np.random.default_rng([int(seed), b, 0xE])
-        theta = wiener_phase(rng, params.sigma_delta, n)
+        theta[b] = wiener_phase(rng, params.sigma_delta, n)
         z_pilot = sample_circular_gaussian(rng, n)
-        z_test = sample_circular_gaussian(rng, n)
-        u = np.mod(theta + np.angle(1.0 + z_pilot / np.sqrt(params.snr)), TWO_PI)
-        lik = _pilot_likelihood(u, grid, params.snr)
+        z_test[b] = sample_circular_gaussian(rng, n)
+        u[:, b] = np.mod(theta[b] + np.angle(1.0 + z_pilot / np.sqrt(params.snr)), TWO_PI)
 
-        base = b * keep
-        states = np.empty_like(lik)
-        _forward_filter(transition, lik, states)
-        predictive[base : base + keep] = states[burn:]
-        del lik, states  # not held while the next block's likelihood is built
-        theta_out[base : base + keep] = theta[burn:]
-        z_out[base : base + keep] = z_test[burn:]
+    predictive = np.empty((n_blocks, n - burn, q))
+    kept = predictive.transpose(1, 0, 2)  # (steps, blocks, Q)
+    state = np.full((n_blocks, q), 1.0 / q) @ transition
+    step = max(1, ROW_BLOCK_CELLS // (n_blocks * q))
+    chunks = [(s, min(s + step, burn), None) for s in range(0, burn, step)]
+    chunks += [
+        (s, min(s + step, n), kept[s - burn : s - burn + step]) for s in range(burn, n, step)
+    ]
+    for lo, hi, states in chunks:
+        _forward_filter(transition, _pilot_likelihood(u[lo:hi], grid, params.snr), states, state)
 
-    return PredictiveEnsemble(grid, predictive, theta_out, z_out, burn, int(n_blocks))
+    samples = (predictive.reshape(-1, q), theta[:, burn:].ravel(), z_test[:, burn:].ravel())
+    return PredictiveEnsemble(grid, *samples, burn, int(n_blocks))
 
 
 def adaptive_predictive_ensemble(
@@ -467,9 +500,9 @@ def adaptive_predictive_ensemble(
     window-sensitive point. Stops once the estimate moves by less than half
     its std error, after at most three doublings, or before a window would
     leave a block fewer than MIN_KEPT_STEPS samples. The pilot recursion
-    runs once: a wider window w' drops the first w' - w samples of each block.
-    One ensemble is alive at a time: the narrower one and its live window go
-    before the kept densities are copied and the wider window is built.
+    runs once: a wider window w' drops the first w' - w samples of each
+    block, in place (`PredictiveEnsemble._widen`), so one ensemble is alive
+    throughout and no doubling searches the window again.
     """
     ensemble = build_predictive_ensemble(
         params, q_levels, block_length, n_blocks, seed, past_window
@@ -480,13 +513,7 @@ def adaptive_predictive_ensemble(
         window = 2 * ensemble.past_window
         if window + MIN_KEPT_STEPS > block_length:
             break
-        keep = ensemble.n_samples // n_blocks
-        rows = np.arange(ensemble.n_samples) % keep >= window - ensemble.past_window
-        grid, predictive, blocks = ensemble.grid, ensemble.predictive, ensemble.n_blocks
-        theta, z_test = ensemble.theta[rows], ensemble.z_test[rows]
-        del ensemble  # the narrower window goes first
-        predictive = predictive[rows]  # and then the narrower densities
-        ensemble = PredictiveEnsemble(grid, predictive, theta, z_test, window, blocks)
+        ensemble._widen(window)
         new_value, new_se = ensemble.cond_entropy(xi_ref)
         moved = abs(new_value - value)
         value = new_value

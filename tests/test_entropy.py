@@ -13,7 +13,7 @@ from phasecap.entropy import (
     sample_circular_gaussian,
 )
 from phasecap.errors import ConfigurationError, DomainError
-from phasecap.mathcore import wrapped_gaussian_entropy
+from phasecap.mathcore import TWO_PI, wrapped_gaussian_entropy
 
 SIGMA_6DEG = np.deg2rad(6.0)
 EULER_GAMMA = 0.5772156649015329
@@ -106,6 +106,37 @@ class TestEntropyAbsSq:
         again = [entropy_abs_sq(x) for x in xis]
         assert entropy_abs_sq.cache_info().hits == len(xis)
         assert again == first == [entropy_abs_sq.__wrapped__(x) for x in xis]
+
+
+def ive_conv_entropies(sigma, kappas):
+    """`entropy._conv_entropies` with every ratio I_k/I_0 taken from `ive`
+    at each order: the reference for the Bessel-ratio recurrence."""
+    n_harm = entropy._harmonic_count(sigma)
+    n_nodes = int(max(2048, 2 ** np.ceil(np.log2(4 * n_harm))))
+    k = np.arange(1, n_harm + 1)
+    ratio = special.ive(k[None, :], kappas[:, None]) / special.ive(0, kappas)[:, None]
+    coeff = np.exp(-0.5 * (k * sigma) ** 2)[None, :] * ratio
+    f = np.maximum((1.0 + 2.0 * coeff @ entropy._circle_grid(n_nodes, n_harm)) / TWO_PI, 1e-300)
+    return -(TWO_PI / n_nodes) * np.sum(f * np.log(f), axis=1)
+
+
+class TestConvEntropies:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("degrees", [0.5, 6.0, 20.0])
+    def test_bessel_ratio_recurrence_matches_ive_at_every_order(self, degrees):
+        # the nodes of units 0-20 (unit 20 reaches KAPPA_MAX), with kappa = 0
+        # and kappas below 1e-3, where ive(K - 1, kappa) underflows to 0 at
+        # each sigma (at 0.5 and 6 degrees, for all of them)
+        sigma, n = np.deg2rad(degrees), entropy.NODES_PER_UNIT
+        small = np.array([0.0, 1e-12, 1e-8, 1e-5, 5e-4, entropy.KAPPA_MAX])
+        assert special.ive(entropy._harmonic_count(sigma) - 1, 1e-12) == 0.0
+        for u in range(21):
+            t = u + np.arange(-1, n + 2) / n
+            kappas = np.minimum(np.abs(np.expm1(t)), entropy.KAPPA_MAX)
+            if u == 0:
+                kappas = np.concatenate([kappas, small])
+            got = entropy._conv_entropies(sigma, kappas)
+            assert np.max(np.abs(got - ive_conv_entropies(sigma, kappas))) <= 1e-12, u
 
 
 class TestUnitTables:

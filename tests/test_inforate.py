@@ -158,6 +158,79 @@ class TestForwardRecursion:
         stored = _forward_filter(transition, lik, np.empty_like(lik))
         assert np.array_equal(stored, _forward_filter(transition, lik))
 
+    @staticmethod
+    def per_step_filter(transition, lik, states=None):
+        """The filter as one (Q,) state stepped row by row, with its check
+        inside the loop: the reference for the (n, Q) path."""
+        norms = np.empty(len(lik))
+        state = np.full(transition.shape[0], 1.0 / transition.shape[0]) @ transition
+        v = np.empty_like(state)
+        for l, row in enumerate(lik):
+            if states is not None:
+                states[l] = state
+            c = norms[l] = np.multiply(state, row, out=v).sum()
+            if not 0.0 < c < np.inf:
+                raise NumericUnderflowError("forward-recursion weight underflowed")
+            np.dot(np.divide(v, c, out=v), transition, out=state)
+        return np.log(norms)
+
+    @pytest.mark.parametrize("scale", [0.1, 3.0, 30.0])
+    def test_one_chain_equals_the_per_step_loop(self, scale):
+        _, transition = _phase_model(SIGMA_6DEG, 200)
+        lik = np.exp(np.random.default_rng(5).normal(scale=scale, size=(2000, 200)))
+        states, ref_states = np.empty_like(lik), np.empty_like(lik)
+        norms = _forward_filter(transition, lik, states)
+        assert np.array_equal(norms, self.per_step_filter(transition, lik, ref_states))
+        assert np.array_equal(states, ref_states)
+
+    @pytest.mark.parametrize("snr_db", [10.0, 20.0, 30.0])
+    def test_stepped_blocks_match_single_blocks(self, snr_db):
+        # one (B, Q) state against B single-chain calls: gemm against gemv
+        # changes the rounding only
+        snr = 10.0 ** (snr_db / 10.0)
+        grid, transition = _phase_model(SIGMA_6DEG, 200)
+        u = np.stack([pilot_phases(snr, 1000, seed) for seed in range(4)], axis=1)
+        lik = _pilot_likelihood(u, grid, snr)
+        states = np.empty_like(lik)
+        norms = _forward_filter(transition, lik, states)
+        for b in range(4):
+            one_states = np.empty_like(lik[:, b])
+            one_norms = _forward_filter(transition, lik[:, b], one_states)
+            # a log normalizer's error is its normalizer's relative error
+            assert np.max(np.abs(norms[:, b] - one_norms)) < 1e-14
+            # densities far in the tails at 30 dB are subnormal or 0, where
+            # the spacing of doubles is fixed
+            normal = one_states >= np.finfo(float).tiny
+            err = np.abs(states[:, b] - one_states)
+            assert np.max(err[normal] / one_states[normal]) < 1e-14
+            assert np.max(err[~normal], initial=0.0) <= np.finfo(float).tiny
+
+    def test_chunks_with_a_carried_state_equal_one_call(self):
+        _, transition = _phase_model(SIGMA_6DEG, 64)
+        lik = np.exp(np.random.default_rng(8).normal(scale=2.0, size=(300, 3, 64)))
+        states, chunked = np.empty_like(lik), np.empty_like(lik)
+        norms = _forward_filter(transition, lik, states)
+        state = np.full((3, 64), 1.0 / 64) @ transition
+        parts = [
+            _forward_filter(transition, lik[lo : lo + 70], chunked[lo : lo + 70], state)
+            for lo in range(0, 300, 70)
+        ]
+        assert np.array_equal(np.concatenate(parts), norms)
+        assert np.array_equal(chunked, states)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "shape, zero", [((50, 32), (20,)), ((50, 3, 32), (20, 1))], ids=["one_chain", "one_of_three"]
+    )
+    def test_a_zero_row_raises(self, shape, zero):
+        # the check runs once, after the steps, with the same error
+        _, transition = _phase_model(SIGMA_6DEG, 32)
+        lik = np.ones(shape)
+        lik[zero] = 0.0
+        message = "^forward-recursion weight underflowed; raise q_levels for this SNR$"
+        with pytest.raises(NumericUnderflowError, match=message):
+            _forward_filter(transition, lik)
+
     def test_pilot_recursion_underflow_error(self, monkeypatch):
         # a pilot likelihood of 0 everywhere reaches the filter's one check
         monkeypatch.setattr(inforate, "_rician_cos_pdf", lambda c, snr: np.zeros_like(c))
@@ -190,12 +263,16 @@ class TestPilotLikelihood:
         assert np.max(np.abs(lik - ref) / ref) < 2e-12
 
     def test_row_blocks_equal_one_block(self, monkeypatch):
-        # every operation is row-wise; 2000 rows of 200 cells end in a ragged block
-        grid, _ = _phase_model(SIGMA_6DEG, 200)
-        u = pilot_phases(100.0, 2000)
-        blocked = _pilot_likelihood(u, grid, 100.0)
-        monkeypatch.setattr(inforate, "ROW_BLOCK_CELLS", u.size * grid.size)
-        assert np.array_equal(blocked, _pilot_likelihood(u, grid, 100.0))
+        # the pilot steps go in chunks of ROW_BLOCK_CELLS likelihood cells,
+        # 40 steps of 4 x 200 here, with the state carried from chunk to
+        # chunk; a burn-in of 150 and 1990 steps end both parts in a ragged
+        # chunk, and one chunk per part changes no bit
+        p = ChannelParams(1, SIGMA_6DEG, 100.0)
+        chunked = build_predictive_ensemble(p, 200, 1990, 4, 7, 150)
+        monkeypatch.setattr(inforate, "ROW_BLOCK_CELLS", 1990 * 4 * 200)
+        whole = build_predictive_ensemble(p, 200, 1990, 4, 7, 150)
+        for name in ("predictive", "theta", "z_test", "window"):
+            assert np.array_equal(getattr(chunked, name), getattr(whole, name)), name
 
 
 class TestQamRate:
@@ -671,7 +748,7 @@ class TestConditionalPhaseEntropy:
     @staticmethod
     def assert_same_ensemble(a, b):
         assert a.past_window == b.past_window
-        for name in ("predictive", "theta", "z_test", "centre", "offsets", "window"):
+        for name in ("predictive", "theta", "z_test", "centre", "offsets", "window", "reach"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
             assert getattr(a, name).dtype == getattr(b, name).dtype, name
         for xi in (0.0, 2.0, 10.0):
@@ -707,20 +784,43 @@ class TestConditionalPhaseEntropy:
         assert ens.window.shape[0] < first.window.shape[0]
         self.assert_same_ensemble(ens, build_predictive_ensemble(p, 100, 600, 2, 0, 400))
 
+    @pytest.mark.parametrize("flat_rows, width", [(2, 7), (3, 16)], ids=["narrows", "stays_full"])
+    def test_widening_from_the_full_circle_equals_a_fresh_ensemble(self, flat_rows, width):
+        # Q = 16, 3 blocks of 8 samples: the first `flat_rows` of each block
+        # are flat (their window is all 16 levels), the rest peak with a
+        # reach of 3 levels (7 levels). Dropping 2 samples per block drops
+        # every flat row, or all but one.
+        q, keep, blocks = 16, 8, 3
+        rng = np.random.default_rng(4)
+        grid = TWO_PI * np.arange(q) / q
+        dist = np.minimum(np.arange(q), q - np.arange(q))
+        predictive = np.stack([np.roll(np.exp(-4.0 * dist**2), k) for k in rng.integers(0, q, 24)])
+        flat = np.arange(blocks * keep) % keep < flat_rows
+        predictive[flat] = 1.0 + 0.1 * rng.random((flat.sum(), q))
+        theta, z_test = rng.uniform(0.0, TWO_PI, 24), sample_circular_gaussian(rng, 24)
+        ens = inforate.PredictiveEnsemble(grid, predictive.copy(), theta.copy(), z_test.copy(), 100, 3)
+        assert ens.window.shape == (q, 24)
+        ens._widen(102)
+        rows = np.arange(blocks * keep) % keep >= 2
+        fresh = inforate.PredictiveEnsemble(grid, predictive[rows], theta[rows], z_test[rows], 102, 3)
+        assert ens.window.shape == (width, 18)
+        self.assert_same_ensemble(ens, fresh)
+
     def test_window_stops_before_a_block_runs_short(self, monkeypatch):
         # window 140 -> 280 in 300-step blocks would keep 20 < 64 samples:
         # the doubling stops, and one recursion of 300 steps per block runs
+        # (counted in state-vector steps: the blocks are stepped together)
         p = ChannelParams(1, SIGMA_6DEG, 50.0)
         windows, steps = self.spy_builds(monkeypatch), []
         run = inforate._forward_filter
 
-        def counted(transition, lik, states):
-            steps.append(len(lik))
-            return run(transition, lik, states)
+        def counted(transition, lik, *rest):
+            steps.append(math.prod(lik.shape[:-1]))
+            return run(transition, lik, *rest)
 
         monkeypatch.setattr(inforate, "_forward_filter", counted)
         ens = adaptive_predictive_ensemble(p, 100, 300, 2, 9, 140)
-        assert windows == [140] and steps == [300, 300] and ens.past_window == 140
+        assert windows == [140] and sum(steps) == 600 and ens.past_window == 140
         monkeypatch.undo()
         self.assert_same_ensemble(ens, build_predictive_ensemble(p, 100, 300, 2, 9, 140))
 
@@ -772,8 +872,9 @@ class TestConditionalPhaseEntropy:
 
 
 def test_figure_budget_u_row_peak_memory():
-    # a U row holds one ensemble at a time, one block's pilot rows and
-    # row-block temporaries: about 22 MB of numpy buffers at figure budgets
+    # a U row holds one ensemble, compacted in place by each doubling, one
+    # chunk of pilot rows and row-block temporaries: about 20.9 MB of numpy
+    # buffers at figure budgets
     path = os.path.join(os.path.dirname(__file__), "..", "configs", "fig1.cfg")
     with open(path) as fh:
         config = asdict(cli.parse_config(fh.read()))
@@ -784,4 +885,4 @@ def test_figure_budget_u_row_peak_memory():
     finally:
         tracemalloc.stop()
     assert row["kind"] == "U"
-    assert peak < 26e6
+    assert peak < 21.5e6
