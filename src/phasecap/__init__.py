@@ -30,7 +30,6 @@ from .entropy import (
 from .inforate import qam_rate
 from .mathcore import (
     Quadrature,
-    rician_phase_pdf,
     wrapped_gaussian_entropy,
     wrapped_gaussian_pdf,
 )

@@ -4,9 +4,12 @@ The expected log of the output norm is in closed form (exponential integral
 and Kummer functions); the entropy of |xi + z|^2 is a quadrature against its
 Bessel density; Monte Carlo is used only for the outer amplitude average of
 the one-step conditional entropy, whose draws are memoized for one U_s row
-and whose kappa tables for one row, or for a whole sweep inside
-`sweep_tables()`. The tables are cubic Hermite splines in log1p(kappa)
-whose node slopes are central differences. All values are in nats.
+and averaged one row block at a time, and whose kappa tables are memoized
+for one row, or for a whole sweep inside `sweep_tables()`. The tables are
+cubic Hermite splines in log1p(kappa) whose node slopes are central
+differences; their nodes sum the one-step entropy's Fourier series by one
+real inverse FFT, with as many harmonics as sigma needs. All values are in
+nats.
 `mean_se` is the one (mean, standard error) estimator of every Monte Carlo
 term in the package, and `BoundRecord` the one result type of every bound
 and rate.
@@ -20,7 +23,7 @@ import numpy as np
 from scipy import special
 
 from .errors import ConfigurationError, DomainError, NumericUnderflowError
-from .mathcore import DEFAULT_QUADRATURE, TWO_PI
+from .mathcore import DEFAULT_QUADRATURE, TWO_PI, _row_blocks
 
 LOG_2PI = float(np.log(TWO_PI))
 
@@ -109,18 +112,6 @@ def entropy_abs_sq(xi):
     return DEFAULT_QUADRATURE.integrate(integrand, lo, hi)
 
 
-def _harmonic_count(sigma):
-    # e^{-K^2 sigma^2 / 2} <= 1e-18  =>  K >= sqrt(2 ln 1e18)/sigma
-    return int(min(np.ceil(np.sqrt(2.0 * 18.0 * np.log(10.0)) / sigma) + 1, 4096))
-
-
-@lru_cache(maxsize=8)
-def _circle_grid(n_nodes, n_harmonics):
-    u = TWO_PI * np.arange(n_nodes) / n_nodes
-    k = np.arange(1, n_harmonics + 1)
-    return np.cos(k[:, None] * u[None, :])
-
-
 def _conv_entropies(sigma, kappas):
     """Entropy (nats) of the wrapped Gaussian of std sigma circularly
     convolved with a von Mises of concentration kappa, for an array of kappas.
@@ -130,24 +121,30 @@ def _conv_entropies(sigma, kappas):
     c_k = exp(-k^2 sigma^2 / 2) * I_k(kappa)/I_0(kappa): `ive` gives r_K =
     I_K/I_{K-1} (0 where I_{K-1} underflows, as at kappa = 0), the stable
     downward recurrence r_k = 1/(2k/kappa + r_{k+1}) the other ratios
-    r_k = I_k/I_{k-1}, and I_k/I_0 is their cumulative product.
+    r_k = I_k/I_{k-1}, and I_k/I_0 is their cumulative product. K is the
+    first harmonic with exp(-K^2 sigma^2 / 2) <= 1e-18. One real inverse FFT
+    sums the series on N >= 4K equally spaced nodes; f is even, so f log f
+    is summed over nodes 0..N/2 only, the inner ones twice.
     """
     kappas = np.atleast_1d(np.asarray(kappas, dtype=float))
-    n_harm = _harmonic_count(sigma)
+    n_harm = int(np.ceil(np.sqrt(2.0 * 18.0 * np.log(10.0)) / sigma) + 1)
     n_nodes = int(max(2048, 2 ** np.ceil(np.log2(4 * n_harm))))
-    cos_mat = _circle_grid(n_nodes, n_harm)
-    k = np.arange(1, n_harm + 1)
-    rho = np.exp(-0.5 * (k * sigma) ** 2)
     ratio = np.empty((kappas.size, n_harm))
     with np.errstate(divide="ignore", invalid="ignore"):
         below = special.ive(n_harm - 1, kappas)
         ratio[:, -1] = np.where(below > 0.0, special.ive(n_harm, kappas) / below, 0.0)
         for j in range(n_harm - 1, 0, -1):
             ratio[:, j - 1] = 1.0 / (2.0 * j / kappas + ratio[:, j])
-    coeff = rho * np.cumprod(ratio, axis=1)
-    f = (1.0 + 2.0 * coeff @ cos_mat) / TWO_PI
+    # complex coefficients: irfft would first copy real ones into a complex array
+    coeff = np.zeros((kappas.size, n_nodes // 2 + 1), dtype=complex)
+    coeff[:, 0] = 1.0
+    coeff[:, 1 : n_harm + 1] = np.exp(-0.5 * (np.arange(1, n_harm + 1) * sigma) ** 2)
+    coeff[:, 1 : n_harm + 1] *= np.cumprod(ratio, axis=1)
+    f = np.fft.irfft(coeff, n_nodes, norm="forward")[:, : n_nodes // 2 + 1] / TWO_PI
     f = np.maximum(f, 1e-300)
-    return -(TWO_PI / n_nodes) * np.sum(f * np.log(f), axis=1)
+    f *= np.log(f)
+    f[:, 1:-1] *= 2.0  # each inner node stands for its mirror image too
+    return -(TWO_PI / n_nodes) * f.sum(axis=1)
 
 
 @lru_cache(maxsize=1)
@@ -222,7 +219,10 @@ def entropy_delta_plus_phase(xi, sigma, n_samples=100_000, seed=0):
     mean and the standard error then carry only summation rounding (the
     error is about 1e-17 at some draw counts, not 0). The draws and the
     tables depend only on (n_samples, seed) and (sigma, unit), and are
-    memoized until `end_row()` or `clear_tables()`.
+    memoized until `end_row()` or `clear_tables()`. The draws are read one
+    row block of 8192 at a time (`_row_blocks` over the four coefficient
+    rows), each block's values filling its part of one (n_samples,) array,
+    so the only temporaries are the size of a block.
 
     Returns (value, std_error) in nats; deterministic given the arguments.
     Raises NumericUnderflowError when a kappa exceeds KAPPA_MAX.
@@ -234,17 +234,21 @@ def entropy_delta_plus_phase(xi, sigma, n_samples=100_000, seed=0):
     if n_samples < MIN_N_SAMPLES:
         raise ConfigurationError(f"n_samples must be >= {MIN_N_SAMPLES}, got {n_samples}")
 
-    kappa = 2.0 * np.abs(xi + _amplitude_draws(n_samples, seed)) * xi
-    if kappa.max() > KAPPA_MAX:
-        raise NumericUnderflowError(f"von Mises kappa {kappa.max():.4g} > {KAPPA_MAX:.0f}")
-    t = np.log1p(kappa)
-    u_lo = int(t.min())
-    c = np.hstack([_unit_table(sigma, u) for u in range(u_lo, int(t.max()) + 1)])
-    j = np.minimum(np.floor(NODES_PER_UNIT * t).astype(int) - NODES_PER_UNIT * u_lo, c.shape[1] - 1)
-    d = t - (j + NODES_PER_UNIT * u_lo) / NODES_PER_UNIT
-    # Horner in place on one gather of the four coefficient rows
-    h, *lower = np.take(c, j, axis=1)
-    for ck in lower:
-        h *= d
-        h += ck
+    z = _amplitude_draws(n_samples, seed)
+    h = np.empty(n_samples)
+    for block in _row_blocks(n_samples, 4):  # four table rows per draw
+        kappa = 2.0 * np.abs(xi + z[block]) * xi
+        if kappa.max() > KAPPA_MAX:
+            raise NumericUnderflowError(f"von Mises kappa {kappa.max():.4g} > {KAPPA_MAX:.0f}")
+        t = np.log1p(kappa)
+        u_lo = int(t.min())
+        c = np.hstack([_unit_table(sigma, u) for u in range(u_lo, int(t.max()) + 1)])
+        j = np.floor(NODES_PER_UNIT * t).astype(int) - NODES_PER_UNIT * u_lo
+        d = t - (j + NODES_PER_UNIT * u_lo) / NODES_PER_UNIT
+        # Horner in place on one gather of the four coefficient rows
+        hb, *lower = np.take(c, j, axis=1)
+        for ck in lower:
+            hb *= d
+            hb += ck
+        h[block] = hb
     return mean_se(h)

@@ -37,7 +37,7 @@ from scipy import special
 from .channel import simulate, wiener_phase
 from .entropy import LOG_2PI, BoundRecord, mean_se, sample_circular_gaussian
 from .errors import ConfigurationError, DomainError, NumericUnderflowError
-from .mathcore import TWO_PI, _rician_cos_pdf, wrapped_gaussian_cdf
+from .mathcore import TWO_PI, _rician_cos_pdf, _row_blocks, wrapped_gaussian_cdf
 
 LOG_PI = float(np.log(np.pi))
 
@@ -62,18 +62,6 @@ PREDICTIVE_CUT = 1e-18
 # below about -708 is subnormal or 0 and takes a slow path, and a clipped term
 # adds at most e^-700 to a sum that is at least 1, below half an ulp of it.
 EXP_FLOOR = -700.0
-
-# Cells per row block of the mixture rows, the pilot likelihood chunks and the
-# live-window search: a pass over a block stays in L2.
-ROW_BLOCK_CELLS = 2**15
-
-
-def _row_blocks(n, q):
-    """Slices of about ROW_BLOCK_CELLS cells over n rows of Q cells each."""
-    step = max(1, ROW_BLOCK_CELLS // q)
-    for start in range(0, n, step):
-        yield slice(start, start + step)
-
 
 def _phase_model(sigma_delta, q_levels):
     """Uniform Q-level grid on [0, 2pi) and the wrapped-Gaussian transition
@@ -340,7 +328,7 @@ def _live_window(predictive, grid):
     return grid[peak], TWO_PI / q * steps, window, reach
 
 
-@dataclass(frozen=True)
+@dataclass
 class PredictiveEnsemble:
     """Per-sample predictive phase densities from a pilot-tracking recursion.
 
@@ -369,9 +357,9 @@ class PredictiveEnsemble:
     reach: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        live = _live_window(self.predictive, self.grid)
-        for name, value in zip(("centre", "offsets", "window", "reach"), live):
-            object.__setattr__(self, name, value)
+        self.centre, self.offsets, self.window, self.reach = _live_window(
+            self.predictive, self.grid
+        )
 
     @property
     def n_samples(self):
@@ -391,14 +379,14 @@ class PredictiveEnsemble:
             front = values[: rows.size]
             for block in _row_blocks(rows.size, q):
                 front[block] = values[rows[block]]
-            object.__setattr__(self, name, front)
+            setattr(self, name, front)
         steps = _window_steps(int(self.reach.max()), q)
         window = self.window.ravel()[: steps.size * rows.size].reshape(steps.size, rows.size)
         for out, old in zip(window, self.window[half + steps[0] :]):
             out[:] = old[rows]  # lands before the old rows still to be read
-        object.__setattr__(self, "offsets", TWO_PI / q * steps)
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "past_window", past_window)
+        self.offsets = TWO_PI / q * steps
+        self.window = window
+        self.past_window = past_window
 
     def cond_entropy(self, xi):
         """h(theta_0 + phi_0(xi^2) | pilot past, |xi + z_0|) in nats.
@@ -479,13 +467,10 @@ def build_predictive_ensemble(
     predictive = np.empty((n_blocks, n - burn, q))
     kept = predictive.transpose(1, 0, 2)  # (steps, blocks, Q)
     state = np.full((n_blocks, q), 1.0 / q) @ transition
-    step = max(1, ROW_BLOCK_CELLS // (n_blocks * q))
-    chunks = [(s, min(s + step, burn), None) for s in range(0, burn, step)]
-    chunks += [
-        (s, min(s + step, n), kept[s - burn : s - burn + step]) for s in range(burn, n, step)
-    ]
-    for lo, hi, states in chunks:
-        _forward_filter(transition, _pilot_likelihood(u[lo:hi], grid, params.snr), states, state)
+    for steps, states in ((u[:burn], None), (u[burn:], kept)):
+        for block in _row_blocks(len(steps), n_blocks * q):
+            lik = _pilot_likelihood(steps[block], grid, params.snr)
+            _forward_filter(transition, lik, None if states is None else states[block], state)
 
     samples = (predictive.reshape(-1, q), theta[:, burn:].ravel(), z_test[:, burn:].ravel())
     return PredictiveEnsemble(grid, *samples, burn, int(n_blocks))

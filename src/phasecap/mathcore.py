@@ -1,8 +1,10 @@
 """Wrapped/circular probability primitives and the Gauss-Legendre quadrature.
 
-Everything here is a pure function of its arguments. Entropies are in nats;
-angles in radians; densities in 1/radian. The Rician phase density is also
-given as a function of the cosine of the phase (`_rician_cos_pdf`).
+Everything here is a pure function of its arguments and module constants.
+Entropies are in nats; angles in radians; densities in 1/radian. The Rician
+phase density is given as a function of the cosine of the phase
+(`_rician_cos_pdf`). `_row_blocks` is the one row-block rule of the
+package's blocked passes.
 """
 
 from functools import lru_cache
@@ -13,6 +15,18 @@ from scipy import special
 from .errors import DomainError
 
 TWO_PI = 2.0 * np.pi
+
+# Cells per row block of the package's blocked passes (mixture rows, pilot
+# likelihood chunks, live-window search, U_s's amplitude average): a pass
+# over a block stays in L2.
+ROW_BLOCK_CELLS = 2**15
+
+
+def _row_blocks(n, q):
+    """Slices of about ROW_BLOCK_CELLS cells over n rows of Q cells each."""
+    step = max(1, ROW_BLOCK_CELLS // q)
+    for start in range(0, n, step):
+        yield slice(start, start + step)
 
 
 def _as_float_array(x):
@@ -87,8 +101,10 @@ def wrapped_gaussian_entropy(sigma):
 
 
 def _rician_cos_pdf(c, a):
-    """`rician_phase_pdf` as a function of c = cos(phi), for c in [-1, 1] (up
-    to rounding) and a >= 0: the density reads phi only through its cosine."""
+    """Exact density of the phase phi of 1 + z/sqrt(a), z ~ CN(0, 1), as a
+    function of c = cos(phi), for c in [-1, 1] (up to rounding) and a >= 0:
+    the density reads phi only through its cosine. It is the law of the
+    residual phase of a pilot of power `a`, and 1/(2pi) at a = 0."""
     root_a = np.sqrt(a)
     sin_sq = 1.0 - c * c
     # Split on the sign of cos(phi) so every exponent stays <= 0.
@@ -97,27 +113,6 @@ def _rician_cos_pdf(c, a):
     bessel_term = np.sqrt(np.pi * a) * c * np.where(c > 0, pos, neg)
     # The closed form is > 0 analytically; clip last-ulp negatives/underflow.
     return np.maximum((np.exp(-a) + bessel_term) / TWO_PI, np.finfo(float).tiny)
-
-
-def rician_phase_pdf(phi, a):
-    """Exact density of the phase of 1 + z/sqrt(a), z ~ CN(0, 1).
-
-    This is the marginal law of the residual phase noise when estimating a
-    phase sample from a pilot of power `a`. For a = 0 it degenerates to the
-    uniform density 1/(2pi).
-
-    Parameters
-    ----------
-    phi : array_like
-        Phase(s) in radians, interpreted on [-pi, pi] (the density is
-        2pi-periodic so any real value works).
-    a : float
-        Pilot power (linear SNR), >= 0.
-    """
-    if a < 0:
-        raise DomainError(f"a must be >= 0, got {a}")
-    out = _rician_cos_pdf(np.cos(_as_float_array(phi)), a)
-    return out if out.ndim else float(out)
 
 
 # The one Gauss-Legendre rule on [-1, 1]; every quadrature maps it onto its panels.

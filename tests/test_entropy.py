@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import special
@@ -10,9 +12,10 @@ from phasecap.entropy import (
     entropy_abs_sq,
     entropy_delta_plus_phase,
     expect_log_noncentral,
+    mean_se,
     sample_circular_gaussian,
 )
-from phasecap.errors import ConfigurationError, DomainError
+from phasecap.errors import ConfigurationError, DomainError, NumericUnderflowError
 from phasecap.mathcore import TWO_PI, wrapped_gaussian_entropy
 
 SIGMA_6DEG = np.deg2rad(6.0)
@@ -108,15 +111,24 @@ class TestEntropyAbsSq:
         assert again == first == [entropy_abs_sq.__wrapped__(x) for x in xis]
 
 
+def harmonic_count(sigma):
+    """The first harmonic K with exp(-K^2 sigma^2 / 2) <= 1e-18."""
+    return int(np.ceil(np.sqrt(2.0 * 18.0 * np.log(10.0)) / sigma) + 1)
+
+
 def ive_conv_entropies(sigma, kappas):
     """`entropy._conv_entropies` with every ratio I_k/I_0 taken from `ive`
-    at each order: the reference for the Bessel-ratio recurrence."""
-    n_harm = entropy._harmonic_count(sigma)
+    at each order: the reference for the Bessel-ratio recurrence. The cosine
+    series goes through the same real inverse FFT, and f log f is summed
+    over the whole circle."""
+    n_harm = harmonic_count(sigma)
     n_nodes = int(max(2048, 2 ** np.ceil(np.log2(4 * n_harm))))
     k = np.arange(1, n_harm + 1)
+    coeff = np.zeros((kappas.size, n_nodes // 2 + 1))
+    coeff[:, 0] = 1.0
     ratio = special.ive(k[None, :], kappas[:, None]) / special.ive(0, kappas)[:, None]
-    coeff = np.exp(-0.5 * (k * sigma) ** 2)[None, :] * ratio
-    f = np.maximum((1.0 + 2.0 * coeff @ entropy._circle_grid(n_nodes, n_harm)) / TWO_PI, 1e-300)
+    coeff[:, 1 : n_harm + 1] = np.exp(-0.5 * (k * sigma) ** 2)[None, :] * ratio
+    f = np.maximum(np.fft.irfft(coeff, n_nodes, norm="forward") / TWO_PI, 1e-300)
     return -(TWO_PI / n_nodes) * np.sum(f * np.log(f), axis=1)
 
 
@@ -129,7 +141,7 @@ class TestConvEntropies:
         # each sigma (at 0.5 and 6 degrees, for all of them)
         sigma, n = np.deg2rad(degrees), entropy.NODES_PER_UNIT
         small = np.array([0.0, 1e-12, 1e-8, 1e-5, 5e-4, entropy.KAPPA_MAX])
-        assert special.ive(entropy._harmonic_count(sigma) - 1, 1e-12) == 0.0
+        assert special.ive(harmonic_count(sigma) - 1, 1e-12) == 0.0
         for u in range(21):
             t = u + np.arange(-1, n + 2) / n
             kappas = np.minimum(np.abs(np.expm1(t)), entropy.KAPPA_MAX)
@@ -137,6 +149,28 @@ class TestConvEntropies:
                 kappas = np.concatenate([kappas, small])
             got = entropy._conv_entropies(sigma, kappas)
             assert np.max(np.abs(got - ive_conv_entropies(sigma, kappas))) <= 1e-12, u
+
+    @pytest.mark.parametrize("degrees", [0.05, 0.07])
+    def test_gaussian_limit_below_a_tenth_of_a_degree(self, degrees):
+        # at KAPPA_MAX both laws are narrow Gaussians, so the convolution is
+        # one of variance sigma^2 + 1/kappa; a cap of 4096 harmonics was
+        # 1.2e-2 / 5.3e-5 nats off here
+        sigma, kappa = np.deg2rad(degrees), entropy.KAPPA_MAX
+        limit = 0.5 * np.log(2 * np.pi * np.e * (sigma**2 + 1 / kappa))
+        assert abs(entropy._conv_entropies(sigma, kappa)[0] - limit) <= 1e-11
+
+    def test_unit_table_peak_memory(self):
+        # one unit table at 0.5 degrees: 131 kappas on 8192 nodes, without a
+        # cached (K, N) cosine matrix (tracemalloc sees numpy's buffers)
+        clear_tables()
+        tracemalloc.start()
+        try:
+            entropy._unit_table(np.deg2rad(0.5), 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            clear_tables()
+        assert peak < 40e6
 
 
 class TestUnitTables:
@@ -165,7 +199,54 @@ class TestUnitTables:
         clear_tables()
 
 
+def whole_array_average(xi, sigma, n_samples, seed):
+    """The one-step entropy average over all draws in one pass: one (n,)
+    array per step, with one table stack over every draw's units."""
+    n = entropy.NODES_PER_UNIT
+    kappa = 2.0 * np.abs(xi + entropy._amplitude_draws(n_samples, seed)) * xi
+    t = np.log1p(kappa)
+    u_lo = int(t.min())
+    c = np.hstack([entropy._unit_table(sigma, u) for u in range(u_lo, int(t.max()) + 1)])
+    j = np.minimum(np.floor(n * t).astype(int) - n * u_lo, c.shape[1] - 1)
+    d = t - (j + n * u_lo) / n
+    h, *lower = np.take(c, j, axis=1)
+    for ck in lower:
+        h *= d
+        h += ck
+    return mean_se(h)
+
+
 class TestEntropyDeltaPlusPhase:
+    @pytest.mark.parametrize("snr_db", [10.0, 30.0])
+    def test_row_blocks_equal_the_whole_array(self, snr_db, monkeypatch):
+        # 8192 draws per block (four table rows each); both counts end in a
+        # ragged block, and every draw's value is the whole-array one
+        blocks, row_blocks = [], entropy._row_blocks
+
+        def recorded(n, q):
+            slices = list(row_blocks(n, q))
+            blocks.extend(range(n)[b] for b in slices)
+            return slices
+
+        monkeypatch.setattr(entropy, "_row_blocks", recorded)
+        for n_samples in (100_000, 20_037):
+            for xi in (0.0, 1.0, np.sqrt(10 ** (snr_db / 10))):
+                blocks.clear()
+                value = entropy_delta_plus_phase(xi, SIGMA_6DEG, n_samples, seed=3)
+                assert value == whole_array_average(xi, SIGMA_6DEG, n_samples, 3)
+                assert [len(b) for b in blocks[:-1]] == [8192] * (n_samples // 8192)
+                assert len(blocks[-1]) == n_samples % 8192
+        clear_tables()
+
+    def test_kappa_max_is_checked_in_every_block(self, monkeypatch):
+        # one draw past KAPPA_MAX, the last one, in the ragged last block
+        z = np.zeros(20_037, dtype=complex)
+        z[-1] = entropy.KAPPA_MAX
+        monkeypatch.setattr(entropy, "_amplitude_draws", lambda n, seed: z[:n])
+        with pytest.raises(NumericUnderflowError, match="von Mises kappa"):
+            entropy_delta_plus_phase(1.0, SIGMA_6DEG, z.size, seed=0)
+        entropy._unit_table.cache_clear()
+
     def test_zero_amplitude_uniform(self):
         value, se = entropy_delta_plus_phase(0.0, SIGMA_6DEG, 1000, seed=1)
         assert value == pytest.approx(LOG_2PI, abs=1e-12)

@@ -10,7 +10,7 @@ import pytest
 from scipy import special
 from scipy.interpolate import PchipInterpolator
 
-from phasecap import cli, inforate
+from phasecap import cli, inforate, mathcore
 from phasecap.bounds import upper_bound_U
 from phasecap.channel import (
     ChannelParams,
@@ -36,7 +36,7 @@ from phasecap.inforate import (
     build_predictive_ensemble,
     qam_rate,
 )
-from phasecap.mathcore import TWO_PI, rician_phase_pdf, wrapped_gaussian_entropy
+from phasecap.mathcore import TWO_PI, _rician_cos_pdf, wrapped_gaussian_entropy
 
 SIGMA_6DEG = np.deg2rad(6.0)
 ROTATED_QAM16 = Constellation(qam_constellation(16).symbols * np.exp(0.3j))
@@ -258,7 +258,7 @@ class TestPilotLikelihood:
         grid, _ = _phase_model(SIGMA_6DEG, 200)
         u = pilot_phases(snr, 2000)
         wrapped = np.mod(u[:, None] - grid[None, :] + np.pi, TWO_PI) - np.pi
-        ref = rician_phase_pdf(wrapped, snr)
+        ref = _rician_cos_pdf(np.cos(wrapped), snr)
         lik = _pilot_likelihood(u, grid, snr)
         assert np.max(np.abs(lik - ref) / ref) < 2e-12
 
@@ -266,11 +266,21 @@ class TestPilotLikelihood:
         # the pilot steps go in chunks of ROW_BLOCK_CELLS likelihood cells,
         # 40 steps of 4 x 200 here, with the state carried from chunk to
         # chunk; a burn-in of 150 and 1990 steps end both parts in a ragged
-        # chunk, and one chunk per part changes no bit
+        # chunk (4 + 46 filter calls), and one chunk per part changes no bit
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return _forward_filter(*args)
+
+        monkeypatch.setattr(inforate, "_forward_filter", counted)
         p = ChannelParams(1, SIGMA_6DEG, 100.0)
         chunked = build_predictive_ensemble(p, 200, 1990, 4, 7, 150)
-        monkeypatch.setattr(inforate, "ROW_BLOCK_CELLS", 1990 * 4 * 200)
+        assert len(calls) == 50 and sum(calls) == 1990
+        calls.clear()
+        monkeypatch.setattr(mathcore, "ROW_BLOCK_CELLS", 1990 * 4 * 200)
         whole = build_predictive_ensemble(p, 200, 1990, 4, 7, 150)
+        assert calls == [150, 1840]
         for name in ("predictive", "theta", "z_test", "window"):
             assert np.array_equal(getattr(chunked, name), getattr(whole, name)), name
 
@@ -455,16 +465,26 @@ class TestQamRate:
     )
     def test_row_blocks_equal_one_block(self, m, constellation, monkeypatch):
         # every operation is row-wise, so blocking cannot move a bit; the
-        # last block is ragged
+        # last of the 3 blocks is ragged, and each block sums its own tables
+        calls, add_logsumexp = [], inforate._add_logsumexp
+
+        def counted(rows, *args):
+            calls.append(len(rows))
+            return add_logsumexp(rows, *args)
+
+        monkeypatch.setattr(inforate, "_add_logsumexp", counted)
         grid, _ = _phase_model(SIGMA_6DEG, 64)
-        step = inforate.ROW_BLOCK_CELLS // grid.size
+        step = mathcore.ROW_BLOCK_CELLS // grid.size
         p = ChannelParams(m, SIGMA_6DEG, 100.0)
         symbols = constellation.scaled_symbols(p.snr, m)
         x = symbols[np.random.default_rng(m).integers(0, symbols.size, size=(2 * step + 37, m))]
         y, _ = simulate(p, x, seed=[symbols.size, m])
         blocked = _mixture_log_rows_separable(y, symbols, grid, m)
-        monkeypatch.setattr(inforate, "ROW_BLOCK_CELLS", len(y) * grid.size)
+        blocked_calls, calls[:] = calls[:], []
+        monkeypatch.setattr(mathcore, "ROW_BLOCK_CELLS", len(y) * grid.size)
         assert np.array_equal(blocked, _mixture_log_rows_separable(y, symbols, grid, m))
+        assert set(blocked_calls) == {step, 37} and set(calls) == {len(y)}
+        assert len(blocked_calls) == 3 * len(calls)
 
     def test_unequally_spaced_product_set(self):
         # a product set whose levels are not equally spaced: the peak must
@@ -543,7 +563,7 @@ def single_pilot_entropy_oracle(xi, rho, sigma, n_mc=30_000, seed=17):
     n_harm = 300
     nodes = 16384
     u = TWO_PI * np.arange(nodes) / nodes - np.pi
-    f_rice = rician_phase_pdf(u, rho)
+    f_rice = _rician_cos_pdf(np.cos(u), rho)
     k = np.arange(1, n_harm + 1)
     rice_coeff = (f_rice[None, :] * np.cos(k[:, None] * u[None, :])).sum(axis=1) * (
         TWO_PI / nodes
