@@ -309,9 +309,9 @@ KINDS = {
     "U_s": Kind(("n_samples",), None, _upper_Us, version=8),
     "asymptotic": Kind((), None, _asymptotic),
     "memoryless_plus_corr": Kind((), None, _memoryless_plus_corr, version=4),
-    "qam_lower": Kind(_QAM_FIELDS, None, _qam_lower, version=4),
+    "qam_lower": Kind(_QAM_FIELDS, None, _qam_lower, version=5),
     "nonunitary_upper": Kind(_U_FIELDS, max, _upper_U, version=8),
-    "nonunitary_lower": Kind(_QAM_FIELDS, min, _qam_lower, version=4),
+    "nonunitary_lower": Kind(_QAM_FIELDS, min, _qam_lower, version=5),
 }
 
 

@@ -57,6 +57,11 @@ def logsumexp_rows(y, vectors, grid):
     return np.stack(rows, axis=1) - const[:, None]
 
 
+def separable_rows(y, symbols, grid, m):
+    """`_mixture_log_rows_separable` into a fresh (n, Q) array."""
+    return _mixture_log_rows_separable(y, symbols, grid, m, np.empty((len(y), grid.size)))
+
+
 def per_antenna_logsumexp_rows(y, symbols, grid):
     """The same rows summed over the full symbol set of each antenna in turn."""
     return sum(logsumexp_rows(y[:, [i]], symbols[:, None], grid) for i in range(y.shape[1]))
@@ -95,10 +100,13 @@ class TestPhaseQuantizer:
 
 class TestForwardRecursion:
     def test_constant_rows_accumulate_exactly(self):
+        # each chain's log-likelihood is the sum of its constants, and the
+        # pass returns their difference
         _, transition = _phase_model(0.3, 32)
-        consts = [0.5, -1.25, 3.0]
-        rows = [np.full(32, c) for c in consts]
-        assert _forward_loglik(transition, rows) == pytest.approx(sum(consts), abs=1e-12)
+        consts = np.array([[0.5, 2.0], [-1.25, -0.75], [3.0, 1.5]])
+        rows = np.repeat(consts[:, :, None], 32, axis=2)
+        ratio = sum(consts[:, 0]) - sum(consts[:, 1])
+        assert _forward_loglik(transition, rows) == pytest.approx(ratio, abs=1e-12)
 
     def test_underflow_error(self):
         # the error comes without a RuntimeWarning for the row's -inf - -inf
@@ -106,7 +114,7 @@ class TestForwardRecursion:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericUnderflowError):
-                _forward_loglik(transition, [np.full(16, -np.inf)])
+                _forward_loglik(transition, np.full((1, 2, 16), -np.inf))
 
     @staticmethod
     def path_sums(transition, log_rows):
@@ -127,30 +135,101 @@ class TestForwardRecursion:
         return special.logsumexp(log_w), predictive
 
     def test_filter_equals_the_sum_over_state_paths(self):
-        # Q = 8, n = 5: 32 768 paths
+        # Q = 8, n = 5: 32 768 paths per chain
         _, transition = _phase_model(0.4, 8)
-        log_rows = np.random.default_rng(3).normal(scale=2.0, size=(5, 8))
-        log_lik, predictive = self.path_sums(transition, log_rows)
-        assert abs(_forward_loglik(transition, log_rows) - log_lik) < 1e-12
+        log_rows = np.random.default_rng(3).normal(scale=2.0, size=(5, 2, 8))
+        (cond, cond_pred), (mix, mix_pred) = (
+            self.path_sums(transition, log_rows[:, c]) for c in range(2)
+        )
+        assert abs(_forward_loglik(transition, log_rows) - (cond - mix)) < 1e-12
         states = np.empty_like(log_rows)
         _forward_filter(transition, np.exp(log_rows), states)
-        assert np.max(np.abs(states - predictive)) < 1e-13
+        assert np.max(np.abs(states - np.stack([cond_pred, mix_pred], axis=1))) < 1e-13
 
     def test_in_place_rows_equal_the_broadcast_expressions(self):
-        # the conditional rows and the filter's likelihood are built in one
-        # (n, Q) buffer each, with the operations of these expressions
+        # the conditional rows are built a row block at a time into the
+        # conditional half of the (n, 2, Q) rows, the mixture rows into the
+        # other half, and the pass streams the exps of the broadcast
+        # expression below through the filter
         grid, transition = _phase_model(SIGMA_6DEG, 200)
         rng = np.random.default_rng(5)
         y = rng.standard_normal((500, 2)) + 1j * rng.standard_normal((500, 2))
-        x = qam_constellation(64).scaled_symbols(1e3, 2)[rng.integers(0, 64, (500, 2))]
+        symbols = qam_constellation(64).scaled_symbols(1e3, 2)
+        x = symbols[rng.integers(0, 64, (500, 2))]
         ip = np.sum(np.conj(y) * x, axis=1)
         const = -np.sum(np.abs(y) ** 2, axis=1) - np.sum(np.abs(x) ** 2, axis=1) - 2 * LOG_PI
         re = np.cos(grid)[None, :] * ip.real[:, None] - np.sin(grid)[None, :] * ip.imag[:, None]
-        rows = inforate._conditional_log_rows(y, x, grid, 2)
-        assert np.array_equal(rows, 2.0 * re + const[:, None])
-        peak = np.max(rows, axis=1)
-        expected = np.cumsum(_forward_filter(transition, np.exp(rows - peak[:, None])) + peak)[-1]
-        assert _forward_loglik(transition, rows) == expected
+        rows = np.empty((500, 2, 200))
+        inforate._conditional_log_rows(y, x, grid, 2, rows[:, 0])
+        assert np.array_equal(rows[:, 0], 2.0 * re + const[:, None])
+        _mixture_log_rows_separable(y, symbols, grid, 2, rows[:, 1])
+        assert np.array_equal(rows[:, 1], separable_rows(y, symbols, grid, 2))
+        peak = np.max(rows, axis=2)
+        norms = _forward_filter(transition, np.exp(rows - peak[:, :, None]))
+        cond, mix = np.cumsum(norms + peak, axis=0)[-1]
+        assert _forward_loglik(transition, rows) == cond - mix
+
+    @staticmethod
+    def qam_block_rows(m, snr_db, n=2000, q=200):
+        """One 64-QAM block's (n, 2, Q) conditional and mixture rows, drawn
+        as `qam_rate` draws its first block."""
+        p = ChannelParams(m, SIGMA_6DEG, 10.0 ** (snr_db / 10.0))
+        grid, transition = _phase_model(p.sigma_delta, q)
+        symbols = qam_constellation(64).scaled_symbols(p.snr, m)
+        x = symbols[np.random.default_rng([0, 0, 0xA]).integers(0, symbols.size, size=(n, m))]
+        y, _ = simulate(p, x, seed=[0, 0, 0xB])
+        rows = np.empty((n, 2, q))
+        inforate._conditional_log_rows(y, x, grid, m, rows[:, 0])
+        _mixture_log_rows_separable(y, symbols, grid, m, rows[:, 1])
+        return transition, rows
+
+    @pytest.mark.parametrize("m, snr_db", [(1, 10.0), (2, 20.0), (2, 30.0)])
+    def test_row_blocks_equal_one_block(self, m, snr_db, monkeypatch):
+        # the exps go a row block at a time, with the (2, Q) state carried
+        # from block to block: 3 rows per block (the last ragged) and one
+        # block for all 2000 rows give the same ratio, bit for bit
+        transition, rows = self.qam_block_rows(m, snr_db)
+        calls, run = [], inforate._forward_filter
+
+        def counted(transition, lik, *rest, **kw):
+            calls.append(len(lik))
+            return run(transition, lik, *rest, **kw)
+
+        monkeypatch.setattr(inforate, "_forward_filter", counted)
+        monkeypatch.setattr(mathcore, "ROW_BLOCK_CELLS", 3 * 2 * 200)
+        blocked = _forward_loglik(transition, rows)
+        assert len(calls) == 667 and set(calls) == {3, 2}
+        calls.clear()
+        monkeypatch.setattr(mathcore, "ROW_BLOCK_CELLS", 2000 * 2 * 200)
+        assert _forward_loglik(transition, rows) == blocked
+        assert calls == [2000]
+
+    @pytest.mark.parametrize("m, snr_db", [(1, 10.0), (2, 20.0), (2, 30.0)])
+    def test_ratio_equals_two_one_chain_passes(self, m, snr_db):
+        # the (2, Q) gemm against two (Q,) gemv chains changes rounding only
+        transition, rows = self.qam_block_rows(m, snr_db)
+        peak = np.max(rows, axis=2)
+        cond, mix = (
+            np.cumsum(
+                self.per_step_filter(transition, np.exp(rows[:, c] - peak[:, c, None])) + peak[:, c]
+            )[-1]
+            for c in range(2)
+        )
+        ratio = _forward_loglik(transition, rows)
+        assert abs(ratio - (cond - mix)) <= 1e-12 * abs(cond - mix)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("chain", [0, 1], ids=["conditional", "mixture"])
+    def test_a_row_without_a_finite_peak_raises(self, chain, monkeypatch):
+        # a row of -inf in either chain, in the middle of a block of 100
+        # rows streamed 7 at a time, gives a NaN normalizer in its row block
+        _, transition = _phase_model(SIGMA_6DEG, 32)
+        rows = np.random.default_rng(2).normal(size=(100, 2, 32))
+        rows[40, chain] = -np.inf
+        monkeypatch.setattr(mathcore, "ROW_BLOCK_CELLS", 7 * 2 * 32)
+        message = "^forward-recursion weight underflowed; raise q_levels for this SNR$"
+        with pytest.raises(NumericUnderflowError, match=message):
+            _forward_loglik(transition, rows)
 
     def test_stored_states_leave_the_normalizers_unchanged(self):
         _, transition = _phase_model(SIGMA_6DEG, 200)
@@ -354,7 +433,7 @@ class TestQamRate:
         symbols = qam_constellation(16).scaled_symbols(30.0, 2)
         rng = np.random.default_rng(0)
         y = rng.standard_normal((700, 2)) + 1j * rng.standard_normal((700, 2))
-        sep = _mixture_log_rows_separable(y, symbols, grid, 2)
+        sep = separable_rows(y, symbols, grid, 2)
         # every one of the 16^2 input vectors, listed explicitly
         first, second = np.meshgrid(symbols, symbols, indexing="ij")
         vectors = np.stack([first.ravel(), second.ravel()], axis=1)
@@ -374,7 +453,7 @@ class TestQamRate:
         y, _ = simulate(p, x, seed=[order, m])
         for q_levels in (64, 200):
             grid, _ = _phase_model(SIGMA_6DEG, q_levels)
-            factored = _mixture_log_rows_separable(y, symbols, grid, m)
+            factored = separable_rows(y, symbols, grid, m)
             reference = per_antenna_logsumexp_rows(y, symbols, grid)
             assert np.max(np.abs(factored - reference)) < 1e-10, q_levels
 
@@ -405,7 +484,7 @@ class TestQamRate:
         grid, _ = _phase_model(SIGMA_6DEG, 16)
         symbols = constellation.scaled_symbols(100.0, 2)
         y = np.ones((10, 2), dtype=complex)
-        _mixture_log_rows_separable(y, symbols, grid, 2)
+        separable_rows(y, symbols, grid, 2)
         assert seen == widths
 
     @pytest.mark.parametrize(
@@ -430,7 +509,7 @@ class TestQamRate:
         symbols = constellation.scaled_symbols(p.snr, m)
         x = symbols[np.random.default_rng(m).integers(0, symbols.size, size=(400, m))]
         y, _ = simulate(p, x, seed=[symbols.size, m])
-        rows = _mixture_log_rows_separable(y, symbols, grid, m)
+        rows = separable_rows(y, symbols, grid, m)
         assert np.all(np.isfinite(rows))
         scale = np.sum((np.abs(y) + np.abs(symbols).max()) ** 2, axis=1)[:, None]
         reference = per_antenna_logsumexp_rows(y, symbols, grid)
@@ -453,9 +532,9 @@ class TestQamRate:
             for term in (2.0 * levels * c - levels**2 for c in inforate._projections(y, grid))
         )
         assert deepest < inforate.EXP_FLOOR
-        clipped = _mixture_log_rows_separable(y, symbols, grid, m)
+        clipped = separable_rows(y, symbols, grid, m)
         monkeypatch.setattr(inforate, "EXP_FLOOR", -np.inf)
-        assert np.array_equal(clipped, _mixture_log_rows_separable(y, symbols, grid, m))
+        assert np.array_equal(clipped, separable_rows(y, symbols, grid, m))
 
     @pytest.mark.parametrize(
         "m, constellation",
@@ -479,10 +558,10 @@ class TestQamRate:
         symbols = constellation.scaled_symbols(p.snr, m)
         x = symbols[np.random.default_rng(m).integers(0, symbols.size, size=(2 * step + 37, m))]
         y, _ = simulate(p, x, seed=[symbols.size, m])
-        blocked = _mixture_log_rows_separable(y, symbols, grid, m)
+        blocked = separable_rows(y, symbols, grid, m)
         blocked_calls, calls[:] = calls[:], []
         monkeypatch.setattr(mathcore, "ROW_BLOCK_CELLS", len(y) * grid.size)
-        assert np.array_equal(blocked, _mixture_log_rows_separable(y, symbols, grid, m))
+        assert np.array_equal(blocked, separable_rows(y, symbols, grid, m))
         assert set(blocked_calls) == {step, 37} and set(calls) == {len(y)}
         assert len(blocked_calls) == 3 * len(calls)
 
@@ -497,13 +576,14 @@ class TestQamRate:
         y = 60.0 * (rng.standard_normal((300, 2)) + 1j * rng.standard_normal((300, 2)))
         first, second = np.meshgrid(symbols, symbols, indexing="ij")
         vectors = np.stack([first.ravel(), second.ravel()], axis=1)
-        sep = _mixture_log_rows_separable(y, symbols, grid, 2)
+        sep = separable_rows(y, symbols, grid, 2)
         dense = _mixture_log_rows_dense(y, vectors, grid, 2)
         assert np.max(np.abs(sep - dense)) < 1e-10
 
     def test_peak_memory_is_two_rows_arrays(self):
-        # a pass holds its (n, Q) log rows and the filter's likelihood; no
-        # other pass's rows are alive then (tracemalloc sees numpy's buffers)
+        # a block holds its (n, 2, Q) conditional and mixture rows, and the
+        # passes add only row-block buffers to them (tracemalloc sees numpy's
+        # buffers)
         p = ChannelParams(2, SIGMA_6DEG, 1e3)
         tracemalloc.start()
         try:

@@ -72,7 +72,8 @@ def test_one_step_entropy_reaches_conv_entropies_after_a_u_s_row(monkeypatch):
 def test_qam_row_runs_one_block_per_forward_pass(monkeypatch):
     # the forward_loglik probe times float(_forward_loglik(*args)) on the
     # arguments of a qam_lower row's first call: one block's
-    # (block_length, q_levels) rows, to one scalar log-likelihood
+    # (block_length, 2, q_levels) conditional and mixture rows, to one scalar
+    # log-likelihood ratio
     config = dataclasses.asdict(
         cli.parse_config(
             "[channel]\nantennas = 2\n[mc]\nblock_length = 100\nn_blocks = 2\n"
@@ -90,5 +91,5 @@ def test_qam_row_runs_one_block_per_forward_pass(monkeypatch):
 
     monkeypatch.setattr(inforate, "_forward_loglik", spy)
     assert cli.compute_row(config, "qam_lower", 20.0)["kind"] == "qam_lower"
-    # a conditional and a mixture pass per block
-    assert shapes == [((32, 32), (100, 32))] * 4
+    # one pass per block, its conditional and mixture chains stepped together
+    assert shapes == [((32, 32), (100, 2, 32))] * 2
