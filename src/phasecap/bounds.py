@@ -70,7 +70,10 @@ class _DualityOptimizer:
     convex in alpha (the prefix has second derivative psi'(alpha) - 1/alpha
     > 0), so it has one minimum in log alpha. `cond_entropy(xi)` returns (value_nats,
     std_error_nats) of the conditional-entropy term; its std error is the bound's.
-    A winning grid end is searched toward only if the line inside it climbs.
+    The max over xi reads a 16-point grid on [0, sqrt(rho)] and refines every
+    local maximum of it, so a second peak between grid points is not missed; a
+    grid end is searched toward only if the line inside it climbs. `xi_tol` is
+    both that end probe's offset and the golden tolerance in xi.
     """
 
     def __init__(self, params, cond_entropy):
@@ -78,8 +81,8 @@ class _DualityOptimizer:
         self.rho = params.snr
         self.m = params.m
         self.root = np.sqrt(self.rho)
-        self.grid = np.linspace(0.0, self.root, 64)
-        self.xi_tol = max(self.root * 1e-6, 1e-12)
+        self.grid = np.linspace(0.0, self.root, 16)
+        self.xi_tol = max(self.root * 1e-4, 1e-12)
         self._terms = {}
 
     def terms(self, xi):
@@ -94,25 +97,28 @@ class _DualityOptimizer:
         return hit
 
     def inner_max(self, alpha):
-        """(max, argmax) of A - alpha B over xi: a golden search between the
-        grid neighbours of the best grid line, unless that is a grid end whose
-        line the xi at xi_tol inside it does not beat; then the end is kept."""
+        """(max, argmax) of A - alpha B over xi, the best of the grid's local
+        maxima, each golden-searched between its grid neighbours; a grid end
+        whose line the xi at xi_tol inside it does not beat is kept as is."""
         a, b, _ = np.array([self.terms(x) for x in self.grid]).T
         g = a - alpha * b
-        i = int(np.argmax(g))
-        if i in (0, self.grid.size - 1):
-            a_in, b_in, _ = self.terms(self.grid[i] + (self.xi_tol if i == 0 else -self.xi_tol))
-            if a_in - alpha * b_in <= g[i]:
-                return g[i], float(self.grid[i])
-        lo = self.grid[max(i - 1, 0)]
-        hi = self.grid[min(i + 1, self.grid.size - 1)]
 
         def neg_g(x):
             a_x, b_x, _ = self.terms(x)
             return alpha * b_x - a_x
 
-        x_ref, neg = _golden_min(neg_g, lo, hi, self.xi_tol)
-        return -neg, x_ref
+        last = self.grid.size - 1
+        padded = np.concatenate(([-np.inf], g, [-np.inf]))
+        peaks = []
+        for i in np.flatnonzero((g >= padded[:-2]) & (g >= padded[2:])):
+            inward = self.grid[i] + (self.xi_tol if i == 0 else -self.xi_tol)
+            if i in (0, last) and -neg_g(inward) <= g[i]:
+                peaks.append((g[i], float(self.grid[i])))
+            else:
+                lo, hi = self.grid[max(i - 1, 0)], self.grid[min(i + 1, last)]
+                x_ref, neg = _golden_min(neg_g, lo, hi, self.xi_tol)
+                peaks.append((-neg, x_ref))
+        return max(peaks, key=lambda peak: peak[0])
 
     def objective(self, alpha):
         prefix = alpha * np.log((self.rho + self.m) / alpha) + d_alpha(alpha, self.m)
@@ -143,7 +149,7 @@ class _DualityOptimizer:
         xi = np.array(list(self._terms))
         vals = self._lines[0] - alpha_star * self._lines[1]
         i = int(np.argmax(vals))
-        # the runner-up: the best line more than one grid step away from xi*
+        # the runner-up: the best line more than one grid step (sqrt(rho)/15) from xi*
         j = int(np.argmax(np.where(np.abs(xi - xi[i]) > self.grid[1], vals, -np.inf)))
         diagnostics = {
             "xi_evals": xi.size,

@@ -33,7 +33,7 @@ MIN_N_SAMPLES = 100
 NODES_PER_UNIT = 128
 # Largest von Mises concentration: scipy's ive returns NaN from just below 2**30 on.
 KAPPA_MAX = 2.0**30 - 1.0
-# Memoized e2 values: a figure sweep evaluates about 11 SNRs x 65-89 xi.
+# Memoized e2 values: a figure sweep evaluates about 11 SNRs x 18-46 xi.
 E2_MEMO_SIZE = 4096
 
 
@@ -123,12 +123,13 @@ def _conv_entropies(sigma, kappas):
     downward recurrence r_k = 1/(2k/kappa + r_{k+1}) the other ratios
     r_k = I_k/I_{k-1}, and I_k/I_0 is their cumulative product. K is the
     first harmonic with exp(-K^2 sigma^2 / 2) <= 1e-18. One real inverse FFT
-    sums the series on N >= 4K equally spaced nodes; f is even, so f log f
-    is summed over nodes 0..N/2 only, the inner ones twice.
+    sums the series on N = max(512, 2^ceil(log2 4K)) equally spaced nodes
+    (within 3e-15 nats of a 2048-node sum at 6-20 degrees); f is even, so
+    f log f is summed over nodes 0..N/2 only, the inner ones twice.
     """
     kappas = np.atleast_1d(np.asarray(kappas, dtype=float))
     n_harm = int(np.ceil(np.sqrt(2.0 * 18.0 * np.log(10.0)) / sigma) + 1)
-    n_nodes = int(max(2048, 2 ** np.ceil(np.log2(4 * n_harm))))
+    n_nodes = int(max(512, 2 ** np.ceil(np.log2(4 * n_harm))))
     ratio = np.empty((kappas.size, n_harm))
     with np.errstate(divide="ignore", invalid="ignore"):
         below = special.ive(n_harm - 1, kappas)

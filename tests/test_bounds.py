@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize, special
 
 from phasecap import bounds, cli, entropy
 from phasecap.bounds import (
@@ -349,6 +350,41 @@ class TestOptimizerInternals:
         assert 0.0 < xi_star < root and abs(xi_star - end) < opt.grid[1]
         assert len(opt._terms) > opt.grid.size + 1
 
+    def test_interior_peak_above_the_winning_grid_end_is_found(self):
+        # g(alpha, xi) = T(xi) + (alpha0 - alpha) B(xi): at alpha0 the lines of
+        # xi = 0 and sqrt(rho), where T = 0, tie and the grid's best line is an
+        # end's. T also has a hill whose top, P = 4e-6 at xi = 1, lies midway
+        # between grid points (of this grid and of a 64-point one), where the
+        # hill is 1.3e-5 or more below P. alpha0 makes the line of the top
+        # tangent to the prefix, so the bound is prefix(alpha0) + log 2pi + P;
+        # without the hill's refinement it would be P lower.
+        m, rho, top, xi_top, k = 1, 4.0, 4e-6, 1.0, 0.05
+        root = np.sqrt(rho)
+
+        def b_line(xi):
+            return expect_log_noncentral(xi, m) - (xi * xi + m) / (rho + m)
+
+        def prefix_slope(alpha):
+            return np.log((rho + m) / alpha) - 1.0 + special.digamma(alpha)
+
+        alpha0 = optimize.brentq(lambda a: prefix_slope(a) - b_line(xi_top), 0.01, 10.0)
+
+        def t(xi):
+            return max(-xi * (root - xi), top - k * (xi - xi_top) ** 2)
+
+        def cond_entropy(xi):
+            e1 = expect_log_noncentral(xi, m)
+            return m * e1 - entropy_abs_sq(xi) - alpha0 * b_line(xi) - t(xi), 0.0
+
+        opt = _DualityOptimizer(ChannelParams(m, SIGMA_6DEG, rho), cond_entropy)
+        grid_t = [t(x) for x in opt.grid]
+        assert max(grid_t) == grid_t[0] == grid_t[-1] == 0.0
+        assert max(t(x) for x in np.linspace(0.0, root, 64)) == 0.0
+        value, _, alpha, xi, _ = opt.minimize()
+        bound = alpha0 * np.log((rho + m) / alpha0) + d_alpha(alpha0, m) + LOG_2PI + top
+        assert abs(value - bound) <= 1e-9, value - bound
+        assert abs(xi - xi_top) < opt.xi_tol and alpha == pytest.approx(alpha0, rel=1e-3)
+
 
 @pytest.fixture
 def optimizers(monkeypatch):
@@ -407,15 +443,39 @@ class TestEnvelopeOptimizer:
         assert rec.meta["xi_evals"] == len(opt._terms) == opt.misses
 
     def test_memoryless_xi_evaluations(self, optimizers):
-        # xi* is a grid end whose line the xi at xi_tol inside it does not
-        # beat: the 64-point grid plus that one xi, with no golden search
-        # (a search toward the end took 87, the per-alpha search 110)
+        # the grid's only local maxima are its two ends, and at neither does
+        # the line of the xi at xi_tol inside it beat the end's: the 16-point
+        # grid plus those two xi, with no golden search
         rec = memoryless_plus_correction(ChannelParams(1, SIGMA_6DEG, 100.0))
         (opt,) = optimizers
-        assert rec.meta["xi_evals"] == 65 == opt.misses
+        assert opt.grid.size == 16
+        assert rec.meta["xi_evals"] == 18 == opt.misses
         assert rec.opt_xi in (0.0, 10.0)
-        inward = rec.opt_xi + (opt.xi_tol if rec.opt_xi == 0.0 else -opt.xi_tol)
-        assert sorted(set(opt._terms) - set(opt.grid)) == [inward]
+        assert sorted(set(opt._terms) - set(opt.grid)) == [opt.xi_tol, 10.0 - opt.xi_tol]
+
+    @pytest.mark.parametrize(
+        "kind, m, snr_db",
+        [("memoryless_plus_corr", m, snr) for m in (1, 2) for snr in (10.0, 30.0)]
+        + [("U_s", 1, 26.0), ("U_s", 1, 84.0)],
+    )
+    def test_no_xi_of_a_scan_beats_the_envelope(self, kind, m, snr_db, optimizers):
+        # 1001 xi on [0, sqrt(rho)] through the optimizer's own lines at alpha*:
+        # none is above the envelope of the xi it evaluated by more than the
+        # tie. Refining the grid argmax alone, U_s missed a peak by 5.2e-5
+        # nats at 26 dB (near xi = 2.0) and by 0.297 nats at 84 dB (xi = 15.8)
+        params = ChannelParams(m, SIGMA_6DEG, 10 ** (snr_db / 10))
+        if kind == "U_s":
+            rec = upper_bound_Us(params, n_samples=1000, seed=7)
+        else:
+            rec = memoryless_plus_correction(params)
+        (opt,) = optimizers
+        lines = np.array(list(opt._terms.values())).T
+        envelope = np.max(lines[0] - rec.opt_alpha * lines[1])
+        try:
+            a, b, _ = np.array([opt.terms(x) for x in np.linspace(0.0, opt.root, 1001)]).T
+        finally:
+            entropy.clear_tables()
+        assert np.max(a - rec.opt_alpha * b) <= envelope + bounds.XI_TIE_NATS
 
     def test_tied_bench_row_keeps_its_line_near_the_origin(self, optimizers):
         # U at M=1, 20 dB with the acceptance seed and the figure budgets: the

@@ -116,13 +116,13 @@ def harmonic_count(sigma):
     return int(np.ceil(np.sqrt(2.0 * 18.0 * np.log(10.0)) / sigma) + 1)
 
 
-def ive_conv_entropies(sigma, kappas):
+def ive_conv_entropies(sigma, kappas, min_nodes=512):
     """`entropy._conv_entropies` with every ratio I_k/I_0 taken from `ive`
     at each order: the reference for the Bessel-ratio recurrence. The cosine
-    series goes through the same real inverse FFT, and f log f is summed
-    over the whole circle."""
+    series goes through the same real inverse FFT, on at least `min_nodes`
+    nodes, and f log f is summed over the whole circle."""
     n_harm = harmonic_count(sigma)
-    n_nodes = int(max(2048, 2 ** np.ceil(np.log2(4 * n_harm))))
+    n_nodes = int(max(min_nodes, 2 ** np.ceil(np.log2(4 * n_harm))))
     k = np.arange(1, n_harm + 1)
     coeff = np.zeros((kappas.size, n_nodes // 2 + 1))
     coeff[:, 0] = 1.0
@@ -149,6 +149,16 @@ class TestConvEntropies:
                 kappas = np.concatenate([kappas, small])
             got = entropy._conv_entropies(sigma, kappas)
             assert np.max(np.abs(got - ive_conv_entropies(sigma, kappas))) <= 1e-12, u
+
+    @pytest.mark.parametrize("degrees", [6.0, 20.0])
+    def test_512_nodes_match_the_2048_node_sum(self, degrees):
+        # the node floor is 512: 4K is 352 at 6 degrees and 112 at 20, so the
+        # trapezoid sum runs on a quarter of the 2048 nodes of the old floor
+        sigma = np.deg2rad(degrees)
+        assert 4 * harmonic_count(sigma) <= 512
+        kappas = np.concatenate([[0.0], np.geomspace(1e-6, entropy.KAPPA_MAX, 402)])
+        got = entropy._conv_entropies(sigma, kappas)
+        assert np.max(np.abs(got - ive_conv_entropies(sigma, kappas, min_nodes=2048))) <= 1e-13
 
     @pytest.mark.parametrize("degrees", [0.05, 0.07])
     def test_gaussian_limit_below_a_tenth_of_a_degree(self, degrees):
