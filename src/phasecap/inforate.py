@@ -41,7 +41,7 @@ from scipy import special
 from .channel import simulate, wiener_phase
 from .entropy import LOG_2PI, BoundRecord, mean_se, sample_circular_gaussian
 from .errors import ConfigurationError, DomainError, NumericUnderflowError
-from .mathcore import TWO_PI, _rician_cos_pdf, _row_blocks, wrapped_gaussian_cdf
+from .mathcore import TWO_PI, _rician_branches, _rician_cos_pdf, _row_blocks, wrapped_gaussian_cdf
 
 LOG_PI = float(np.log(np.pi))
 
@@ -60,7 +60,7 @@ Q_LEVELS_MULTIPLE = 4
 
 # `cond_entropy` reads a predictive density on its levels above this share
 # of its peak (see `_live_window`).
-PREDICTIVE_CUT = 1e-18
+PREDICTIVE_CUT = 1e-12
 
 # The mixture-row exponents are clipped here before the exp: exp of anything
 # below about -708 is subnormal or 0 and takes a slow path, and a clipped term
@@ -131,7 +131,7 @@ def _forward_loglik(transition, log_rows):
     """Log-likelihood ratio ll_cond - ll_mix of a block from its (n, 2, Q)
     log-likelihood rows, conditional then mixture, stepped as one (2, Q)
     state. The name predates the ratio: the benchmark's probes and tracer
-    look the function up by it (ROADMAP item 1b).
+    look the function up by it (ROADMAP item 1).
 
     One row block at a time, each row's peak comes off before the exps,
     which go into one reused buffer, and `_forward_filter` steps the carried
@@ -419,25 +419,22 @@ class PredictiveEnsemble:
         Evaluates -log of the predictive density circularly convolved with
         the von Mises conditional of phi_0 given the realized amplitude, at
         the realized observation, and averages per block. The convolution
-        runs over each sample's window only; with v = u0 - centre,
-        cos(u0 - centre - d) = cos v cos d + sin v sin d is an outer product
-        over the (W,) offsets d and the (N,) samples, built in one (W, N)
-        buffer: the sin d sin v term is added row by row.
+        runs over each sample's window only; with v = u0 - centre, the
+        exponent kappa (cos(v - d) - 1) over the (W,) offsets d and the (N,)
+        samples is one (W, 3) @ (3, N) product into one (W, N) buffer: rows
+        (cos d, sin d, -1) against columns kappa (cos v, sin v, 1).
         """
         if xi < 0:
             raise DomainError(f"xi must be >= 0, got {xi}")
         if xi == 0.0:
             return LOG_2PI, 0.0
         zr = xi + self.z_test
-        r = np.abs(zr)
-        kappa = 2.0 * r * xi
+        kappa = 2.0 * np.abs(zr) * xi
         v = self.theta + np.angle(zr) - self.centre
-        t = np.multiply.outer(np.cos(self.offsets), np.cos(v))
-        sin_v = np.sin(v)
-        for row, sin_d in zip(t, np.sin(self.offsets)):
-            row += sin_d * sin_v
-        t -= 1.0
-        t *= kappa
+        d = self.offsets
+        t = np.stack((np.cos(d), np.sin(d), -np.ones_like(d)), axis=1) @ (
+            kappa * np.stack((np.cos(v), np.sin(v), np.ones_like(v)))
+        )
         mix = np.einsum("wn,wn->n", self.window, np.exp(t, out=t))
         if np.any(mix <= 0.0) or not np.all(np.isfinite(mix)):
             raise NumericUnderflowError(
@@ -450,10 +447,16 @@ class PredictiveEnsemble:
 def _pilot_likelihood(u, grid, snr):
     """p(u | theta_q) = f_phi(u - theta_q; snr), shape u.shape + (Q,), of
     the pilot phases u. The density reads its phase only through the cosine,
-    cos(u - theta) = cos u cos theta + sin u sin theta, an outer product."""
-    c = np.multiply.outer(np.cos(u), np.cos(grid))
-    c += np.multiply.outer(np.sin(u), np.sin(grid))
-    return _rician_cos_pdf(c, snr)
+    cos(u - theta) = cos u cos theta + sin u sin theta, an outer product. It
+    is taken on the first half-turn of the grid only (Q is even), and the
+    second reads c(theta + pi) = -c(theta) with the same density branches."""
+    half = grid.size // 2
+    c = np.empty(u.shape + (2, half))
+    np.multiply.outer(np.cos(u), np.cos(grid[:half]), out=c[..., 0, :])
+    c[..., 0, :] += np.multiply.outer(np.sin(u), np.sin(grid[:half]))
+    np.negative(c[..., 0, :], out=c[..., 1, :])
+    branches = _rician_branches(c[..., :1, :], snr)
+    return _rician_cos_pdf(c, snr, branches).reshape(u.shape + grid.shape)
 
 
 def build_predictive_ensemble(

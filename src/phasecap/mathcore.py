@@ -100,27 +100,36 @@ def wrapped_gaussian_entropy(sigma):
     return DEFAULT_QUADRATURE.integrate(neg_flogf, 0.0, TWO_PI)
 
 
-def _rician_cos_pdf(c, a):
+def _rician_branches(c, a):
+    """`_rician_cos_pdf`'s Bessel-term branches at cos(phi) = |c| > 0 and at
+    cos(phi) = -|c| <= 0, split so that every exponent stays <= 0."""
+    mag = np.abs(c)
+    pos = np.exp(a * (mag * mag - 1.0))  # exp(-a sin^2 phi)
+    mag = np.sqrt(a) * mag
+    pos *= 1.0 + special.erf(mag)
+    return pos, np.exp(-a) * special.erfcx(mag)
+
+
+def _rician_cos_pdf(c, a, branches=None):
     """Exact density of the phase phi of 1 + z/sqrt(a), z ~ CN(0, 1), as a
     function of c = cos(phi), for c in [-1, 1] (up to rounding) and a >= 0:
     the density reads phi only through its cosine. It is the law of the
-    residual phase of a pilot of power `a`, and 1/(2pi) at a = 0."""
-    root_a = np.sqrt(a)
-    sin_sq = 1.0 - c * c
-    # Split on the sign of cos(phi) so every exponent stays <= 0.
-    pos = np.exp(-a * sin_sq) * (1.0 + special.erf(root_a * c))
-    neg = np.exp(-a) * special.erfcx(-root_a * np.minimum(c, 0.0))
-    bessel_term = np.sqrt(np.pi * a) * c * np.where(c > 0, pos, neg)
+    residual phase of a pilot of power `a`, and 1/(2pi) at a = 0.
+    `branches`, if given, are `_rician_branches` of |c|, shared by c and -c."""
+    pos, neg = _rician_branches(c, a) if branches is None else branches
+    term = np.where(c > 0, pos, neg)
+    term *= np.sqrt(np.pi * a) * c
+    term += np.exp(-a)
+    term /= TWO_PI
     # The closed form is > 0 analytically; clip last-ulp negatives/underflow.
-    return np.maximum((np.exp(-a) + bessel_term) / TWO_PI, np.finfo(float).tiny)
+    return np.maximum(term, np.finfo(float).tiny, out=term)
 
 
 # The one Gauss-Legendre rule on [-1, 1]; every quadrature maps it onto its panels.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
-@lru_cache(maxsize=8)
-def _panel_nodes(n_panels, a, b):
+def _gauss_legendre(n_panels, a, b):
     """Composite Gauss-Legendre nodes/weights: the rule on n_panels equal panels of [a, b]."""
     edges = np.linspace(a, b, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -128,6 +137,9 @@ def _panel_nodes(n_panels, a, b):
     nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
     return nodes, weights
+
+
+_panel_nodes = lru_cache(maxsize=8)(_gauss_legendre)
 
 
 class Quadrature:

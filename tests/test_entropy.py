@@ -16,7 +16,7 @@ from phasecap.entropy import (
     sample_circular_gaussian,
 )
 from phasecap.errors import ConfigurationError, DomainError, NumericUnderflowError
-from phasecap.mathcore import TWO_PI, wrapped_gaussian_entropy
+from phasecap.mathcore import DEFAULT_QUADRATURE, TWO_PI, wrapped_gaussian_entropy
 
 SIGMA_6DEG = np.deg2rad(6.0)
 EULER_GAMMA = 0.5772156649015329
@@ -102,13 +102,27 @@ class TestEntropyAbsSq:
         with pytest.raises(DomainError):
             entropy_abs_sq(-0.5)
 
-    def test_memo_hit_equals_a_fresh_quadrature(self):
-        entropy_abs_sq.cache_clear()
-        xis = [0.0, 0.37, 3.1622776601683795, 10.0]
-        first = [entropy_abs_sq(x) for x in xis]
-        again = [entropy_abs_sq(x) for x in xis]
-        assert entropy_abs_sq.cache_info().hits == len(xis)
-        assert again == first == [entropy_abs_sq.__wrapped__(x) for x in xis]
+    @staticmethod
+    def adaptive_e2(xi):
+        """e2 by the adaptive `Quadrature` on the same interval: the reference
+        for the fixed rule."""
+
+        def integrand(u):
+            logp = -((u - xi) ** 2) + np.log(special.i0e(2.0 * xi * u))
+            return -2.0 * u * logp * np.exp(logp)
+
+        return DEFAULT_QUADRATURE.integrate(integrand, max(0.0, xi - 13.0), xi + 13.0)
+
+    def test_fixed_rule_matches_the_adaptive_quadrature(self):
+        # the xi range of the figure rows, 0 to sqrt(rho) at 30 dB
+        for xi in np.linspace(0.0, 31.7, 61):
+            assert entropy_abs_sq(xi) == pytest.approx(self.adaptive_e2(xi), abs=1e-13), xi
+
+    @pytest.mark.parametrize("snr_db", [84.0, 86.0])
+    def test_fixed_rule_at_the_largest_amplitudes(self, snr_db):
+        # sqrt(rho) of the U_s rows just inside the Bessel range (1.7e-12 at 84 dB)
+        xi = np.sqrt(10.0 ** (snr_db / 10.0))
+        assert entropy_abs_sq(xi) == pytest.approx(self.adaptive_e2(xi), abs=5e-12)
 
 
 def harmonic_count(sigma):
