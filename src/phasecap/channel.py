@@ -40,27 +40,25 @@ class ChannelParams:
             raise DomainError(f"snr must be finite and > 0, got {self.snr}")
 
 
-def wiener_phase(rng, sigma, n, theta0=None):
+def wiener_phase(rng, sigma, n):
     """One length-n trajectory of the wrapped Wiener phase, in [0, 2pi).
 
-    Draws the start uniform on [0, 2pi) (stationary start; a float
-    `theta0` forces it instead) and then n - 1 Gaussian increments of std
-    `sigma`, both from the caller's generator `rng`.
+    Draws the start uniform on [0, 2pi), the stationary start, and then n - 1
+    Gaussian increments of std `sigma`, both from the caller's generator `rng`.
     """
-    start = rng.uniform(0.0, TWO_PI) if theta0 is None else float(theta0)
+    start = rng.uniform(0.0, TWO_PI)
     steps = sigma * rng.standard_normal(n - 1)
     return np.mod(start + np.concatenate([[0.0], np.cumsum(steps)]), TWO_PI)
 
 
-def simulate(params, inputs, seed, theta0=None):
+def simulate(params, inputs, seed):
     """Run the channel over a block of input vectors.
 
     Parameters
     ----------
     params : ChannelParams
     inputs : (n, m) complex array; every row must satisfy ||x||^2 <= snr.
-    seed : int or sequence of ints for the noise/phase generator.
-    theta0 : optional float to force the initial phase.
+    seed : int or sequence of ints; one generator draws the phase, then the noise.
 
     Returns
     -------
@@ -76,7 +74,7 @@ def simulate(params, inputs, seed, theta0=None):
         raise PeakPowerError(k, float(power[k]), float(params.snr))
     n = x.shape[0]
     rng = np.random.default_rng(seed)
-    theta = wiener_phase(rng, params.sigma_delta, n, theta0)
+    theta = wiener_phase(rng, params.sigma_delta, n)
     w = sample_circular_gaussian(rng, (n, params.m))
     y = np.exp(1j * theta)[:, None] * x + w
     return y, theta

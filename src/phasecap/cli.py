@@ -120,7 +120,7 @@ class ExperimentConfig:
     h_source: str = _option("unitary", "channel", str, key="h_matrix")
     start_db: float = _option(10.0, "sweep", _finite_float)
     stop_db: float = _option(30.0, "sweep", _finite_float)
-    step_db: float = _option(2.0, "sweep", _finite_float)
+    step_db: float = _option(2.0, "sweep", _bounded(_finite_float, 0, strict=True))
     kinds: tuple = _option(("asymptotic",), "sweep", _parse_kinds)
     n_samples: int = _option(100_000, "mc", _bounded(int, MIN_N_SAMPLES))
     block_length: int = _option(2000, "mc", _bounded(int, inforate.MIN_BLOCK_LENGTH))
@@ -134,8 +134,6 @@ class ExperimentConfig:
     cache_dir: str = _option(".phasecap-cache", "output", str)
 
     def snr_grid_db(self):
-        if self.step_db <= 0:
-            raise UsageError("step_db must be > 0")
         count = int(round((self.stop_db - self.start_db) / self.step_db)) + 1
         grid = self.start_db + self.step_db * np.arange(count)
         return [float(s) for s in grid if s <= self.stop_db + 1e-9]
@@ -179,7 +177,6 @@ def parse_config(text, base_dir=""):
     config = ExperimentConfig(**values)
     if config.stop_db < config.start_db:
         raise UsageError("stop_db must be >= start_db")
-    config.snr_grid_db()  # raises UsageError for step_db <= 0
     uses_pilots = any("past_window" in KINDS[k].fields for k in config.kinds)
     if uses_pilots and config.block_length < config.past_window + inforate.MIN_KEPT_STEPS:
         raise UsageError(f"block_length must be >= past_window + {inforate.MIN_KEPT_STEPS}")
@@ -459,7 +456,7 @@ print("wrote figure{figure_id}.png")
 '''
 
 
-def emit_plot_script(csv_path, figure_id, out_path=None):
+def emit_plot_script(csv_path, figure_id):
     """Write a standalone matplotlib script for the given results CSV. The
     figure id goes into the script's text and file names, so it must match
     [A-Za-z0-9_-]+."""
@@ -481,8 +478,7 @@ def emit_plot_script(csv_path, figure_id, out_path=None):
         figure_id=figure_id,
         kinds=", ".join(repr(k) for k in kinds) + ("," if len(kinds) == 1 else ""),
     )
-    if out_path is None:
-        out_path = os.path.splitext(csv_path)[0] + f"_fig{figure_id}.py"
+    out_path = os.path.splitext(csv_path)[0] + f"_fig{figure_id}.py"
     _atomic_write(out_path, script)
     return out_path
 

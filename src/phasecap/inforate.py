@@ -219,47 +219,44 @@ def _mixture_log_rows_separable(y, symbols, grid, m, rows):
     into per-antenna sums of exp(2 Re(p s) - |s|^2) over the symbols s, with
     p = e^{j theta} conj(y_i): the points (Re s, Im s) against (Re p, -Im p).
 
-    A product set {a + jb} (square QAM: distinct symbols and #re * #im ==
-    #symbols) factors once more, into f_L(c) = log sum_{w in L}
-    exp(2 w c - w^2) over the levels L of each PAM axis. On the grid
-    theta_q = 2 pi q / Q, Q a multiple of 4, both axes come from c = Re p
-    on the first half-turn (q < Q/2), by two exact identities:
-      * -Im p(theta) = Re p(theta + pi/2), a shift s of Q/4 grid steps;
-      * Re p(theta + pi) = -Re p(theta), and f_L(-c) = f_{-L}(c).
-    So each distinct level set among L_re, -L_re, L_im, -L_im gets one
-    (n, Q/2) table per antenna (one in all for square QAM), and column q of
-    an axis reads r = (q + s) mod Q: f_L at r when r < Q/2, f_{-L} at
-    r - Q/2 otherwise. Against sums over all Q phases, only rounding moves.
+    Square QAM, the product set L x L of real levels with L = -L, factors
+    once more, into f_L(c) = log sum_{w in L} exp(2 w c - w^2) over each PAM
+    axis. On the grid theta_q = 2 pi q / Q, Q a multiple of 4, both axes read
+    one (n, Q/2) table per antenna, f_L of c = Re p on the first half-turn,
+    by two exact identities:
+      * -Im p(theta) = Re p(theta + pi/2): the imaginary axis reads it Q/4
+        grid steps on;
+      * Re p(theta + pi) = -Re p(theta) and f_L(-c) = f_L(c), as L = -L:
+        column q reads it at q mod Q/2.
+    Only rounding moves against sums over all Q phases. Any other set sums
+    its points on all Q phases.
 
     The rows go one block of about ROW_BLOCK_CELLS cells at a time, so
     that the passes stay in cache; every operation is row-wise, so that
     changes no bit.
     """
-    re, im = np.unique(symbols.real), np.unique(symbols.imag)
+    levels = np.unique(symbols.real)
     q = grid.size
     half = q // 2
-    product = re.size * im.size == symbols.size
-    if product:
+    product = levels.size**2 == symbols.size and np.array_equal(levels, np.unique(symbols.imag))
+    pam = product and np.array_equal(levels, -levels[::-1])  # square QAM: L x L with L = -L
+    if pam:
         cos_h, sin_h = np.cos(grid[:half]), np.sin(grid[:half])
-        # each axis as (L, -L, shift s), a level set keyed by its sorted levels
-        axes = [(tuple(lv), tuple(np.sort(-lv)), s) for lv, s in ((re, 0), (im, q // 4))]
-        level_sets = {key: np.array(key)[:, None] for axis in axes for key in axis[:2]}
+        levels = levels[:, None]
     else:
         points = np.stack([symbols.real, symbols.imag], axis=1)
     for block in _row_blocks(y.shape[0], q):
         yb, out = y[block], rows[block]
         out.fill(0.0)
-        if product:
+        if pam:
             for yr, yi in zip(yb.real.T, yb.imag.T):
                 c = np.multiply.outer(yr, cos_h) + np.multiply.outer(yi, sin_h)  # Re p
-                tables = {}
-                for key, levels in level_sets.items():
-                    tables[key] = np.zeros_like(c)
-                    _add_logsumexp(tables[key], (c,), levels)
-                for plus, minus, s in axes:
-                    out[:, : half - s] += tables[plus][:, s:]
-                    out[:, half - s : q - s] += tables[minus]
-                    out[:, q - s :] += tables[plus][:, :s]
+                table = np.zeros_like(c)
+                _add_logsumexp(table, (c,), levels)
+                for s in (0, q // 4):
+                    out[:, : half - s] += table[:, s:]
+                    out[:, half - s : q - s] += table
+                    out[:, q - s :] += table[:, :s]
         else:
             proj = _projections(yb, grid)
             for c in zip(proj, proj):  # (Re p, -Im p) of each antenna
@@ -281,9 +278,7 @@ def _mixture_log_rows_dense(y, vectors, grid, m):
     return rows
 
 
-def qam_rate(
-    params, constellation, q_levels=200, block_length=2000, n_blocks=4, seed=0, theta0=None
-):
+def qam_rate(params, constellation, q_levels=200, block_length=2000, n_blocks=4, seed=0):
     """Achievable rate (bits/channel use) of iid per-antenna signaling.
 
     Estimates (1/n)[log p(y^n | x^n) - log p(y^n)] over the quantized phase
@@ -310,7 +305,7 @@ def qam_rate(
         rng = np.random.default_rng([int(seed), b, 0xA])
         idx = rng.integers(0, symbols.size, size=(block_length, m))
         x = symbols[idx]
-        y, _ = simulate(params, x, seed=[int(seed), b, 0xB], theta0=theta0)
+        y, _ = simulate(params, x, seed=[int(seed), b, 0xB])
         _conditional_log_rows(y, x, grid, m, rows[:, 0])
         _mixture_log_rows_separable(y, symbols, grid, m, rows[:, 1])
         block_rates[b] = _forward_loglik(transition, rows) / (block_length * np.log(2.0))

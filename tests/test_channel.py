@@ -32,14 +32,15 @@ class TestSimulate:
     def test_noiseless_degenerate(self):
         p = ChannelParams(2, 0.0, 20.0)
         x = np.array([[1.0 + 1j, 0.5], [2.0, 1j]], dtype=complex)
-        y, theta = simulate(p, x, seed=0, theta0=0.0)
-        assert np.allclose(theta, 0.0)
-        # with no phase rotation and H = I, y - x is the noise draw that
-        # follows the phase trajectory on the same seeded generator
+        y, theta = simulate(p, x, seed=0)
+        assert np.all(theta == theta[0])
+        # with a constant phase theta_0 and H = I, y - e^{j theta_0} x is the
+        # noise draw that follows the start and the increments on the same
+        # seeded generator
         rng = np.random.default_rng(0)
-        wiener_phase(rng, 0.0, x.shape[0], theta0=0.0)
+        wiener_phase(rng, 0.0, x.shape[0])
         noise = sample_circular_gaussian(rng, x.shape)
-        assert np.allclose(y - x, noise, rtol=0.0, atol=1e-12)
+        assert np.allclose(y - np.exp(1j * theta[0]) * x, noise, rtol=0.0, atol=1e-12)
 
     def test_noise_covariance(self):
         m = 3

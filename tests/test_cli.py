@@ -147,7 +147,7 @@ class TestConfigParsing:
             parse_config(f"[{section}]\n{key} = {value}\n")
 
     def test_nonpositive_step(self):
-        with pytest.raises(UsageError, match="step_db must be > 0"):
+        with pytest.raises(UsageError, match="line 2: bad value for 'step_db': must be > 0"):
             parse_config("[sweep]\nstep_db = 0\n")
 
     def test_unknown_constellation(self):

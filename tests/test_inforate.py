@@ -38,10 +38,14 @@ from phasecap.inforate import (
 )
 from phasecap.mathcore import TWO_PI, _rician_cos_pdf, wrapped_gaussian_entropy
 
+from coherent_qam import coherent_qam64
+
 SIGMA_6DEG = np.deg2rad(6.0)
 ROTATED_QAM16 = Constellation(qam_constellation(16).symbols * np.exp(0.3j))
+# a product set L x L whose levels are not symmetric (L != -L): not square QAM
+SHIFTED_QAM16 = Constellation(qam_constellation(16).symbols + (1.0 + 1.0j))
 # a product set whose levels are neither equally spaced nor symmetric, and
-# differ between the axes: L_re, -L_re, L_im and -L_im are four level sets
+# differ between the axes: not square QAM, so its mixture rows sum points
 UNEVEN_RE, UNEVEN_IM = np.array([-3.0, -1.0, 0.5, 4.0]), np.array([-2.0, 1.0, 3.0])
 UNEVEN_PRODUCT = Constellation((UNEVEN_RE[:, None] + 1j * UNEVEN_IM[None, :]).ravel())
 
@@ -391,24 +395,16 @@ class TestQamRate:
         assert est.value_bits == 0.0
         assert est.std_error_bits == 0.0
 
-    def test_coherent_awgn_degenerate_vs_mc_oracle(self):
-        snr = 10**1.5
+    def test_coherent_awgn_degenerate_vs_reference(self):
+        # with almost no phase noise the recursion learns the random start
+        # phase within a few symbols, and the rate is coherent 64-QAM's; the
+        # tolerance is 3 SE of a mean of n iid information densities
+        snr, block_length, n_blocks = 10**1.5, 2000, 2
         p = ChannelParams(1, 1e-6, snr)
-        est = qam_rate(
-            p, qam_constellation(64), 200, block_length=2000, n_blocks=2, seed=11, theta0=0.0
-        )
-        symbols = qam_constellation(64).scaled_symbols(snr, 1)
-        rng = np.random.default_rng(123)
-        n = 200_000
-        x = symbols[rng.integers(0, 64, n)]
-        w = sample_circular_gaussian(rng, n)
-        y = x + w
-        d2 = np.abs(y[:, None] - symbols[None, :]) ** 2
-        peak = (-d2).max(axis=1)
-        lmix = np.log(np.exp(-d2 - peak[:, None]).mean(axis=1)) + peak
-        vals = (-np.abs(w) ** 2 - lmix) / np.log(2.0)
-        combined = 3 * np.hypot(est.std_error_bits, vals.std() / np.sqrt(n))
-        assert est.value_bits == pytest.approx(vals.mean(), abs=combined)
+        est = qam_rate(p, qam_constellation(64), 200, block_length, n_blocks, seed=11)
+        rate, variance = coherent_qam64(snr, 1)
+        tol = 3 * np.sqrt(variance / (n_blocks * block_length))
+        assert est.value_bits == pytest.approx(rate, abs=tol)
 
     def test_monotone_in_snr(self):
         rates = []
@@ -477,15 +473,15 @@ class TestQamRate:
             (qam_constellation(64), [8, 8]),
             (psk_constellation(8), [8, 8]),
             (ROTATED_QAM16, [16, 16]),
-            (UNEVEN_PRODUCT, [4, 4, 3, 3, 4, 4, 3, 3]),
+            (UNEVEN_PRODUCT, [12, 12]),
+            (SHIFTED_QAM16, [16, 16]),
         ],
     )
     def test_square_qam_is_summed_over_its_axes(self, constellation, widths, monkeypatch):
-        # a product set sums each distinct level set among L_re, -L_re, L_im
-        # and -L_im once per antenna, on the first half-turn (Q/2 phases):
-        # one call of 8 levels for square 64-QAM, four for the uneven set;
-        # other sets sum all their symbols on all Q phases, one call per
-        # antenna
+        # square QAM sums the 8 levels of 64-QAM once per antenna, on the
+        # first half-turn (Q/2 phases); other sets, the uneven and the shifted
+        # product sets among them, sum all their symbols on all Q phases, one
+        # call per antenna
         seen = []
         kernel = inforate._add_logsumexp
 
@@ -504,11 +500,15 @@ class TestQamRate:
     @pytest.mark.parametrize(
         "m, constellation",
         # square 64-QAM (its PAM axes) keeps the bare antenna count as its
-        # id; PSK-8 and rotated 16-QAM sum points in the plane
+        # id; PSK-8, rotated and shifted 16-QAM sum points in the plane
         [pytest.param(m, qam_constellation(64), id=f"{m}") for m in (1, 2)]
         + [
             pytest.param(m, c, id=f"{m}-{name}")
-            for name, c in (("psk8", psk_constellation(8)), ("rotated_qam16", ROTATED_QAM16))
+            for name, c in (
+                ("psk8", psk_constellation(8)),
+                ("rotated_qam16", ROTATED_QAM16),
+                ("shifted_qam16", SHIFTED_QAM16),
+            )
             for m in (1, 2)
         ],
     )
@@ -580,10 +580,9 @@ class TestQamRate:
         assert len(blocked_calls) == 3 * len(calls)
 
     def test_unequally_spaced_product_set(self):
-        # a product set whose levels are not equally spaced: the peak must
-        # be the nearest level's term. Rounding c on the mean spacing picks a
-        # farther level for some c, and at this scale that level's peak
-        # leaves the nearest level's exp above the float range
+        # a product set that is not square QAM goes through the points path;
+        # at this scale its exponents reach far past the range of exp, so the
+        # rows are finite only if the running peak comes off every term
         symbols = 30.0 * UNEVEN_PRODUCT.symbols
         grid, _ = _phase_model(SIGMA_6DEG, 32)
         rng = np.random.default_rng(4)
@@ -768,7 +767,7 @@ class TestConditionalPhaseEntropy:
         p = ChannelParams(1, 10.0, 100.0)
         ens = build_predictive_ensemble(p, 100, block_length=300, n_blocks=2, seed=1, past_window=100)
         value, se = ens.cond_entropy(5.0)
-        # the unconditional sum with uniform theta0 is uniform: log(2 pi)
+        # the unconditional sum with a uniform start phase is uniform: log(2 pi)
         assert value == pytest.approx(LOG_2PI, abs=3 * se + 1e-9)
 
     def test_flat_density_keeps_every_level(self):
