@@ -26,7 +26,7 @@ def d_alpha(alpha, m):
     return gammaln(alpha) - gammaln(m) - m + 1.0
 
 
-def _golden_min(f, lo, hi, abs_tol, max_iter=400):
+def _golden_min(f, lo, hi, abs_tol):
     """Deterministic golden-section minimizer on [lo, hi]."""
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = float(lo), float(hi)
@@ -34,7 +34,7 @@ def _golden_min(f, lo, hi, abs_tol, max_iter=400):
     x2 = a + inv_phi * (b - a)
     f1, f2 = f(x1), f(x2)
     best_x, best_f = (x1, f1) if f1 <= f2 else (x2, f2)
-    for _ in range(max_iter):
+    for _ in range(GOLDEN_MAX_ITER):
         if (b - a) <= abs_tol:
             return best_x, best_f
         if f1 <= f2:
@@ -49,12 +49,16 @@ def _golden_min(f, lo, hi, abs_tol, max_iter=400):
             best_x, best_f = x1, f1
         if f2 < best_f:
             best_x, best_f = x2, f2
-    raise OptimizationError(f"golden section did not reach tol {abs_tol} in {max_iter} iterations")
+    raise OptimizationError(
+        f"golden section did not reach tol {abs_tol} in {GOLDEN_MAX_ITER} iterations"
+    )
 
 
 # Golden tolerance in log alpha, the cap on search rounds, and the gap (nats)
 # under which two lines at alpha* tie, so a refined xi no longer counts.
 ALPHA_TOL, MAX_ROUNDS, XI_TIE_NATS = 1e-11, 8, 1e-9
+# Iterations of one golden search (in alpha or in xi) before it gives up.
+GOLDEN_MAX_ITER = 400
 # The alpha bracket of the search: [ALPHA_MIN, ALPHA_MAX_PER_ANTENNA * m].
 ALPHA_MIN, ALPHA_MAX_PER_ANTENNA = 1e-3, 10.0
 
@@ -203,8 +207,8 @@ def upper_bound_Us(params, n_samples=100_000, seed=0):
     """Simplified upper bound: the memory term is the one-step entropy
     h(Delta + phi_0(xi^2) | |xi + z_0|), no forward recursion involved.
     Every xi of the row shares one amplitude draw and the kappa tables. The
-    draws are dropped when the row ends, and so are the tables, unless a
-    sweep shares them (`entropy.sweep_tables`)."""
+    draws are dropped when the row ends; the tables, a pure function of
+    (sigma, unit), stay memoized for later rows (`entropy.clear_tables`)."""
     _check_params(params)
     meta = {"n_samples": int(n_samples), "seed": int(seed)}
     try:

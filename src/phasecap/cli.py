@@ -34,7 +34,7 @@ from .channel import (
     singular_value_bounds,
     wavelength_from_ghz,
 )
-from .entropy import MIN_N_SAMPLES, sweep_tables
+from .entropy import MIN_N_SAMPLES, clear_tables
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -110,10 +110,17 @@ def _file_key(f):
     return f.metadata["key"] or f.name
 
 
+def _file_text(value):
+    """A field value as a config file writes it."""
+    return ", ".join(value) if isinstance(value, tuple) else str(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Parsed sweep configuration. Each field declares where a config file
-    sets it and how its value is parsed; the fields are in canonical order."""
+    sets it and how its value is parsed; the fields are in canonical order.
+    A config built directly is checked too: each field's parser reads the
+    value's file text."""
 
     antennas: int = _option(1, "channel", _bounded(int, 1))
     sigma_delta_degrees: float = _option(6.0, "channel", _bounded(_finite_float, 0, strict=True))
@@ -132,6 +139,15 @@ class ExperimentConfig:
     parallelism: int = _option(0, "run", _bounded(int, 0))
     csv_path: str = _option("results.csv", "output", str, key="csv")
     cache_dir: str = _option(".phasecap-cache", "output", str)
+
+    def __post_init__(self):
+        for f in fields(self):
+            try:
+                f.metadata["parse"](_file_text(getattr(self, f.name)))
+            except ValueError as exc:
+                raise UsageError(f"bad value for {_file_key(f)!r}: {exc}") from exc
+        if self.stop_db < self.start_db:
+            raise UsageError("stop_db must be >= start_db")
 
     def snr_grid_db(self):
         count = int(round((self.stop_db - self.start_db) / self.step_db)) + 1
@@ -175,8 +191,6 @@ def parse_config(text, base_dir=""):
     if values.get("h_source", "unitary") != "unitary":
         values["h_source"] = os.path.join(base_dir, values["h_source"])
     config = ExperimentConfig(**values)
-    if config.stop_db < config.start_db:
-        raise UsageError("stop_db must be >= start_db")
     uses_pilots = any("past_window" in KINDS[k].fields for k in config.kinds)
     if uses_pilots and config.block_length < config.past_window + inforate.MIN_KEPT_STEPS:
         raise UsageError(f"block_length must be >= past_window + {inforate.MIN_KEPT_STEPS}")
@@ -203,8 +217,7 @@ def canonical_text(config):
         if f.metadata["section"] != section:
             section = f.metadata["section"]
             lines.append(f"[{section}]")
-        value = getattr(config, f.name)
-        lines.append(f"{_file_key(f)} = {', '.join(value) if isinstance(value, tuple) else value}")
+        lines.append(f"{_file_key(f)} = {_file_text(getattr(config, f.name))}")
     return "\n".join(lines) + "\n"
 
 
@@ -377,8 +390,8 @@ def run_sweep(config, progress=None):
     append-only directory with atomic replacement, as soon as each is done;
     a failed row goes to the CSV only. A row that raises stops no other
     row: every task runs, then the first exception is re-raised. The U_s
-    rows share their kappa tables, which start empty and are dropped when
-    the sweep ends, so a sweep's work does not depend on earlier ones.
+    rows share their kappa tables, which start empty (cleared before any
+    worker forks), so a sweep's work does not depend on earlier ones.
     """
     tasks = [(kind, snr) for kind in config.kinds for snr in config.snr_grid_db()]
     cache_dir = config.cache_dir
@@ -398,8 +411,8 @@ def run_sweep(config, progress=None):
     config_dict = asdict(config)
     workers = config.parallelism if config.parallelism > 0 else (os.cpu_count() or 1)
     error = None
+    clear_tables()
     with ExitStack() as stack:
-        stack.enter_context(sweep_tables())
         if workers > 1 and len(pending) > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             futures = {pool.submit(compute_row, config_dict, *task[:2]): task for task in pending}

@@ -4,8 +4,8 @@ The expected log of the output norm is in closed form (exponential integral
 and Kummer functions); the entropy of |xi + z|^2 is a quadrature against its
 Bessel density; Monte Carlo is used only for the outer amplitude average of
 the one-step conditional entropy, whose draws are memoized for one U_s row
-and averaged one row block at a time, and whose kappa tables are memoized
-for one row, or for a whole sweep inside `sweep_tables()`. The tables are
+and averaged one row block at a time, and whose kappa tables are a bounded
+memo of (sigma, unit) that a sweep clears when it starts. The tables are
 cubic Hermite splines in log1p(kappa) whose node slopes are central
 differences; their nodes sum the one-step entropy's Fourier series by one
 real inverse FFT, with as many harmonics as sigma needs. All values are in
@@ -15,7 +15,6 @@ term in the package, and `BoundRecord` the one result type of every bound
 and rate.
 """
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -173,34 +172,15 @@ def _unit_table(sigma, u):
 
 
 def clear_tables():
-    """Forget the memoized draws and kappa tables."""
+    """Forget the memoized draws and kappa tables, so that the next U_s row
+    builds every table it reads."""
     _amplitude_draws.cache_clear()
     _unit_table.cache_clear()
 
 
-_tables_shared = False
-
-
-@contextmanager
-def sweep_tables():
-    """Inside the block, the U_s rows share their kappa tables (worker
-    processes forked inside it inherit that); it starts and ends with none."""
-    global _tables_shared
-    clear_tables()
-    _tables_shared = True
-    try:
-        yield
-    finally:
-        _tables_shared = False
-        clear_tables()
-
-
 def end_row():
-    """Forget a finished U_s row's draws, and its kappa tables too unless a
-    `sweep_tables()` block shares them with later rows."""
+    """Forget a finished U_s row's draws; its kappa tables stay memoized."""
     _amplitude_draws.cache_clear()
-    if not _tables_shared:
-        _unit_table.cache_clear()
 
 
 def entropy_delta_plus_phase(xi, sigma, n_samples=100_000, seed=0):
@@ -215,9 +195,10 @@ def entropy_delta_plus_phase(xi, sigma, n_samples=100_000, seed=0):
     intervals each. At xi = 0 every draw reads the first node,
     `_conv_entropies(sigma, 0)`, which is 4.4e-16 above log(2 pi); the
     mean and the standard error then carry only summation rounding (the
-    error is about 1e-17 at some draw counts, not 0). The draws and the
-    tables depend only on (n_samples, seed) and (sigma, unit), and are
-    memoized until `end_row()` or `clear_tables()`. The draws are read one
+    error is about 1e-17 at some draw counts, not 0). The draws depend only
+    on (n_samples, seed) and are memoized until `end_row()`; the tables
+    depend only on (sigma, unit) and are memoized, at most 32 of them,
+    until `clear_tables()`. The draws are read one
     row block of 8192 at a time (`_row_blocks` over the four coefficient
     rows), each block's values filling its part of one (n_samples,) array,
     so the only temporaries are the size of a block.

@@ -112,13 +112,13 @@ def _forward_filter(transition, lik, states=None, state=None):
     if state is None:
         state = np.full(lik.shape[1:], 1.0 / transition.shape[0]) @ transition
     v = np.empty_like(state)
-    vt = v.T  # (Q, B): c broadcasts over the chains
+    # each step's c is a (B, 1) view of its normalizers, which broadcasts over Q
     with np.errstate(divide="ignore", invalid="ignore"):
-        for l, row in enumerate(lik):
+        for l, (row, c) in enumerate(zip(lik, norms[..., None])):
             if states is not None:
                 states[l] = state
-            c = norms[l] = np.multiply(state, row, out=v).sum(axis=-1)
-            np.divide(vt, c, out=vt)
+            np.add.reduce(np.multiply(state, row, out=v), axis=-1, keepdims=True, out=c)
+            np.divide(v, c, out=v)
             np.dot(v, transition, out=state)
     if not np.all((norms > 0.0) & (norms < np.inf)):
         raise NumericUnderflowError(

@@ -250,25 +250,25 @@ class TestOneStepTablesPerSweep:
             entropy._unit_table.cache_info().currsize,
         )
 
-    def test_draws_dropped_and_tables_kept_when_the_row_returns_or_raises(self):
-        with entropy.sweep_tables():
-            upper_bound_Us(ChannelParams(1, SIGMA_6DEG, 100.0), n_samples=2000, seed=5)
-            draws, tables = self.memo_sizes()
-            assert draws == 0 and tables > 0
-            # at 90 dB kappa = 2 r xi passes the Bessel range at the largest xi
-            with pytest.raises(NumericUnderflowError):
-                upper_bound_Us(ChannelParams(1, SIGMA_6DEG, 1e9), n_samples=1000, seed=5)
-            draws, more_tables = self.memo_sizes()
-            assert draws == 0 and more_tables > tables
-        assert self.memo_sizes() == (0, 0)
+    @staticmethod
+    def units_built(calls):
+        """The unit of each table built, from the kappas of its nodes."""
+        return sorted(int(np.rint(np.log1p(kappas[0]))) for kappas in calls)
 
-    def test_a_row_outside_a_sweep_drops_its_tables(self):
+    def test_draws_dropped_and_tables_kept_when_the_row_returns_or_raises(self):
+        entropy.clear_tables()
         upper_bound_Us(ChannelParams(1, SIGMA_6DEG, 100.0), n_samples=2000, seed=5)
-        assert self.memo_sizes() == (0, 0)
+        draws, tables = self.memo_sizes()
+        assert draws == 0 and tables > 0
+        # at 90 dB kappa = 2 r xi passes the Bessel range at the largest xi
+        with pytest.raises(NumericUnderflowError):
+            upper_bound_Us(ChannelParams(1, SIGMA_6DEG, 1e9), n_samples=1000, seed=5)
+        draws, more_tables = self.memo_sizes()
+        assert draws == 0 and more_tables > tables
 
     def test_each_unit_table_is_built_once_per_sweep(self, tmp_path, monkeypatch):
         # a sweep starts with no tables, its two U_s rows share theirs, and
-        # they are dropped when it ends
+        # they stay after it; the next sweep starts with none again
         entropy.entropy_delta_plus_phase(31.0, SIGMA_6DEG, 2000, 5)
         assert self.memo_sizes()[1] > 0
         config = cli.parse_config(US_SWEEP.format(csv=tmp_path / "us.csv", cache=tmp_path / "c"))
@@ -281,14 +281,18 @@ class TestOneStepTablesPerSweep:
 
         monkeypatch.setattr(entropy, "_conv_entropies", spy)
         cli.run_sweep(config, progress=lambda kind, snr, row: done.append((snr, row)))
-        assert self.memo_sizes() == (0, 0)
         # xi runs up to sqrt(rho) = 31.6 at 30 dB and r = |xi + z| below 35,
         # so t = log1p(2 r xi) < 8: units 0-7, each built once
-        assert sorted(int(np.rint(np.log1p(kappas[0]))) for kappas in calls) == list(range(8))
+        assert self.memo_sizes() == (0, 8)
+        assert self.units_built(calls) == list(range(8))
         assert all(kappas.size == entropy.NODES_PER_UNIT + 3 for kappas in calls)
         assert [snr for snr, _ in done] == [20.0, 30.0]
+        calls.clear()
+        cli.run_sweep(dataclasses.replace(config, cache_dir=str(tmp_path / "c2")))
+        assert self.units_built(calls) == list(range(8))
         monkeypatch.undo()
         for snr, warm in done:
+            entropy.clear_tables()
             cold = cli.compute_row(dataclasses.asdict(config), "U_s", snr)
             for col in ("value_bits", "std_error_bits", "opt_alpha", "opt_xi", "seed"):
                 assert warm[col] == cold[col], (snr, col)

@@ -110,6 +110,8 @@ class TestConfigParsing:
         # every row using the field would reject this value at compute time
         with pytest.raises(UsageError, match=f"line 2: bad value for '{key}': must be >= {low}"):
             parse_config(f"[mc]\n{key} = {low - 1}\n")
+        with pytest.raises(UsageError, match=f"^bad value for '{key}': must be >= {low}"):
+            ExperimentConfig(**{key: low - 1})
         assert getattr(parse_config(f"[mc]\n{key} = {low}\n"), key) == low
 
     def test_q_levels_must_be_a_multiple_of_4(self):
@@ -145,10 +147,23 @@ class TestConfigParsing:
         section = "channel" if key == "sigma_delta_degrees" else "sweep"
         with pytest.raises(UsageError, match=f"line 2: bad value for '{key}': must be finite"):
             parse_config(f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(UsageError, match=f"^bad value for '{key}': must be finite"):
+            ExperimentConfig(**{key: float(value)})
 
     def test_nonpositive_step(self):
         with pytest.raises(UsageError, match="line 2: bad value for 'step_db': must be > 0"):
             parse_config("[sweep]\nstep_db = 0\n")
+        # built directly, a zero step would divide by zero in the grid and a
+        # negative one would sweep nothing
+        for step in (0, -2):
+            with pytest.raises(UsageError, match="^bad value for 'step_db': must be > 0"):
+                ExperimentConfig(step_db=step)
+
+    def test_stop_below_start(self):
+        with pytest.raises(UsageError, match="stop_db must be >= start_db"):
+            parse_config("[sweep]\nstart_db = 10\nstop_db = 5\n")
+        with pytest.raises(UsageError, match="stop_db must be >= start_db"):
+            ExperimentConfig(start_db=10, stop_db=5)
 
     def test_unknown_constellation(self):
         with pytest.raises(UsageError, match="unknown constellation 'apsk32'"):
@@ -404,16 +419,19 @@ class TestRunSweep:
             row_cache_key(config, "memoryless_plus_corr", 10.0) + ".json"
         ]
 
-    def test_rows_before_a_raising_row_are_cached(self, tmp_path):
-        # q_levels below 8 makes the qam_lower rows raise; the asymptotic
-        # rows computed before them must already be in the cache
+    def test_rows_before_a_raising_row_are_cached(self, tmp_path, monkeypatch):
+        # the qam_lower rows raise; the asymptotic rows computed before them
+        # must already be in the cache
+        def boom(*args, **kwargs):
+            raise ConfigurationError("synthetic configuration error")
+
+        monkeypatch.setattr(cli.inforate, "qam_rate", boom)
         config = make_config(
             tmp_path,
             kinds=("asymptotic", "qam_lower"),
             start_db=10.0,
             stop_db=12.0,
             step_db=2.0,
-            q_levels=4,
         )
         with pytest.raises(ConfigurationError):
             run_sweep(config)

@@ -48,22 +48,33 @@ def test_ensemble_arrays_and_cond_entropy_value():
 
 
 def test_one_step_entropy_reaches_conv_entropies_after_a_u_s_row(monkeypatch):
-    # the conv_entropies probe stops a standalone one-step entropy call at its
-    # first `_conv_entropies(sigma, kappas)` call, after a U_s row has run
+    # the conv_entropies probe runs in a fresh interpreter: it stops a U_s row
+    # at its first `bounds.entropy_delta_plus_phase(xi, sigma, n_samples,
+    # seed)` call, then a standalone one-step entropy call at its first
+    # `_conv_entropies(sigma, kappas)` call
+    entropy.clear_tables()
     params = ChannelParams(1, np.deg2rad(6.0), 100.0)
-    bounds.upper_bound_Us(params, n_samples=1000, seed=3)
-    calls = []
+    row_calls, calls = [], []
 
     class Captured(Exception):
         pass
 
-    def stop(*args, **kwargs):
-        calls.append((args, kwargs))
-        raise Captured
+    def stopper(into):
+        def stop(*args, **kwargs):
+            into.append((args, kwargs))
+            raise Captured
 
-    monkeypatch.setattr(entropy, "_conv_entropies", stop)
+        return stop
+
+    monkeypatch.setattr(bounds, "entropy_delta_plus_phase", stopper(row_calls))
     with pytest.raises(Captured):
-        entropy.entropy_delta_plus_phase(10.0, params.sigma_delta, 1000, 3)
+        bounds.upper_bound_Us(params, n_samples=1000, seed=3)
+    (((_, sigma, n_samples, seed), row_kwargs),) = row_calls
+    assert row_kwargs == {} and (sigma, n_samples, seed) == (params.sigma_delta, 1000, 3)
+
+    monkeypatch.setattr(entropy, "_conv_entropies", stopper(calls))
+    with pytest.raises(Captured):
+        entropy.entropy_delta_plus_phase(10.0, sigma, n_samples, seed)
     ((args, kwargs),) = calls
     assert len(args) == 2 and kwargs == {}
     assert args[0] == params.sigma_delta and args[1].ndim == 1
