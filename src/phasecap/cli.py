@@ -1,4 +1,4 @@
-"""Experiment runner: config files, SNR sweeps, caching, CSV, plots.
+"""Experiment runner: config files, SNR sweeps, caching, CSV.
 
 Config format is flat ``key = value`` lines under bracketed section
 headers; angles are taken in degrees at this boundary and converted once.
@@ -12,7 +12,6 @@ import hashlib
 import io
 import json
 import os
-import re
 import sys
 import tempfile
 import time
@@ -439,63 +438,6 @@ def run_sweep(config, progress=None):
     return config.csv_path, failed
 
 
-_PLOT_TEMPLATE = '''#!/usr/bin/env python3
-"""Plot bound/rate curves from {csv_name} (figure {figure_id})."""
-
-import csv
-from collections import defaultdict
-
-import matplotlib.pyplot as plt
-
-series = defaultdict(list)
-with open({csv_path!r}) as fh:
-    for row in csv.DictReader(fh):
-        if row["kind"] == "failed":
-            continue
-        series[row["kind"]].append((float(row["snr_db"]), float(row["value_bits"])))
-
-fig, ax = plt.subplots(figsize=(7, 5))
-for kind in ({kinds}):
-    pts = sorted(series[kind])
-    ax.plot([p[0] for p in pts], [p[1] for p in pts], marker="o", label=kind)
-ax.set_xlabel("SNR [dB]")
-ax.set_ylabel("Rate [bits/channel use]")
-ax.set_title("Figure {figure_id}")
-ax.grid(True, alpha=0.3)
-ax.legend()
-fig.tight_layout()
-fig.savefig("figure{figure_id}.png", dpi=150)
-print("wrote figure{figure_id}.png")
-'''
-
-
-def emit_plot_script(csv_path, figure_id):
-    """Write a standalone matplotlib script for the given results CSV. The
-    figure id goes into the script's text and file names, so it must match
-    [A-Za-z0-9_-]+."""
-    if not re.fullmatch(r"[A-Za-z0-9_-]+", str(figure_id)):
-        raise UsageError(f"figure id must match [A-Za-z0-9_-]+, got {figure_id!r}")
-    with open(csv_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if not {"snr_db", "kind", "value_bits"} <= set(reader.fieldnames or ()):
-            raise SchemaError(f"{csv_path}: CSV header lacks snr_db, kind or value_bits")
-        row_kinds = [row["kind"] for row in reader]
-    if not row_kinds:
-        raise SchemaError(f"{csv_path}: no data rows")
-    kinds = list(dict.fromkeys(k for k in row_kinds if k != "failed"))
-    if not kinds:
-        raise SchemaError(f"{csv_path}: no successful rows")
-    script = _PLOT_TEMPLATE.format(
-        csv_name=os.path.basename(csv_path),
-        csv_path=csv_path,
-        figure_id=figure_id,
-        kinds=", ".join(repr(k) for k in kinds) + ("," if len(kinds) == 1 else ""),
-    )
-    out_path = os.path.splitext(csv_path)[0] + f"_fig{figure_id}.py"
-    _atomic_write(out_path, script)
-    return out_path
-
-
 def _cmd_sweep(args):
     config = parse_config_file(args.config)
 
@@ -509,12 +451,6 @@ def _cmd_sweep(args):
     path, failed = run_sweep(config, progress=progress)
     print(path)
     return 2 if failed else 0
-
-
-def _cmd_plot(args):
-    out = emit_plot_script(args.csv, args.figure)
-    print(out)
-    return 0
 
 
 def _cmd_spacing(args):
@@ -547,11 +483,6 @@ def build_parser():
     p.add_argument("config")
     p.add_argument("-v", "--verbose", action="store_true")
     p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("plot", help="emit a plot script for a results CSV")
-    p.add_argument("csv")
-    p.add_argument("--figure", required=True)
-    p.set_defaults(func=_cmd_plot)
 
     p = sub.add_parser("spacing", help="LoS antenna spacing for a unitary channel")
     p.add_argument("--freq-ghz", type=float, required=True)

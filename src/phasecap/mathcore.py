@@ -29,10 +29,6 @@ def _row_blocks(n, q):
         yield slice(start, start + step)
 
 
-def _as_float_array(x):
-    return np.asarray(x, dtype=float)
-
-
 def wrap_truncation_order(sigma):
     """Number of lattice terms L so the first omitted wrapped-Gaussian term
     is below 1e-16 of the peak."""
@@ -57,7 +53,7 @@ def wrapped_gaussian_pdf(delta, sigma):
     """
     if sigma <= 0:
         raise DomainError(f"sigma must be > 0, got {sigma}")
-    delta = _as_float_array(delta)
+    delta = np.asarray(delta, dtype=float)
     order = wrap_truncation_order(sigma)
     ells = np.arange(-order, order + 1)
     shifted = delta[..., None] - TWO_PI * ells
@@ -75,7 +71,7 @@ def wrapped_gaussian_cdf(delta, sigma):
     """
     if sigma <= 0:
         raise DomainError(f"sigma must be > 0, got {sigma}")
-    delta = _as_float_array(delta)
+    delta = np.asarray(delta, dtype=float)
     order = wrap_truncation_order(sigma)
     ells = np.arange(-order, order + 1)
     hi = special.ndtr((delta[..., None] - TWO_PI * ells) / sigma)

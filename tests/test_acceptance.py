@@ -132,14 +132,14 @@ def horizontal_gaps(series, min_snr):
     return gaps
 
 
-def committed_rows(kinds, snrs=None):
+def committed_rows(kinds):
     """(config dict, kind, snr, committed row) of each listed kind in both
     figures, found by its cache key, so a moved key fails too."""
     for m in (1, 2):
         text = SWEEP_TEMPLATE.format(m=m, seed=MASTER_SEED, csv="unused.csv", cache=CACHE_DIR)
         config = cli.parse_config(text)
         for kind in kinds:
-            for snr in snrs or config.snr_grid_db():
+            for snr in config.snr_grid_db():
                 path = os.path.join(CACHE_DIR, cli.row_cache_key(config, kind, snr) + ".json")
                 assert os.path.exists(path), f"no committed {kind} row at M={m}, {snr} dB"
                 with open(path) as fh:
@@ -147,45 +147,17 @@ def committed_rows(kinds, snrs=None):
 
 
 class TestCommittedRows:
-    # the cache may serve only what the current code computes
-    def test_deterministic_rows_recompute_bit_for_bit(self):
+    # the cache may serve only what the current code computes; the seeded
+    # kinds move with any change in rounding
+    @pytest.mark.parametrize("kind", ["asymptotic", "memoryless_plus_corr", "U_s", "U", "qam_lower"])
+    def test_rows_recompute_bit_for_bit(self, kind):
         checked = 0
-        for config, kind, snr, committed in committed_rows(("asymptotic", "memoryless_plus_corr")):
-            row = cli.compute_row(config, kind, snr)
-            for col in ("value_bits", "std_error_bits", "opt_alpha", "opt_xi"):
-                assert row[col] == committed[col], (config["antennas"], kind, snr, col)
-            checked += 1
-        assert checked == 44
-
-    def test_u_s_rows_recompute_bit_for_bit(self):
-        # the one-step entropy tables feed only U_s; its draws are seeded
-        checked = 0
-        for config, kind, snr, committed in committed_rows(("U_s",), (10.0, 30.0)):
+        for config, _, snr, committed in committed_rows((kind,)):
             row = cli.compute_row(config, kind, snr)
             for col in ("value_bits", "std_error_bits", "opt_alpha", "opt_xi", "seed", "n_samples"):
                 assert row[col] == committed[col], (config["antennas"], kind, snr, col)
             checked += 1
-        assert checked == 4
-
-    def test_u_rows_recompute_bit_for_bit(self):
-        # the pilot blocks are seeded; any change in rounding moves a U row
-        checked = 0
-        for config, kind, snr, committed in committed_rows(("U",), (10.0, 30.0)):
-            row = cli.compute_row(config, kind, snr)
-            for col in ("value_bits", "std_error_bits", "opt_alpha", "opt_xi", "seed", "n_samples"):
-                assert row[col] == committed[col], (config["antennas"], kind, snr, col)
-            checked += 1
-        assert checked == 4
-
-    def test_qam_lower_rows_recompute_bit_for_bit(self):
-        # its blocks are seeded, and a change in rounding moves its rows
-        checked = 0
-        for config, kind, snr, committed in committed_rows(("qam_lower",), (10.0, 30.0)):
-            row = cli.compute_row(config, kind, snr)
-            for col in ("value_bits", "std_error_bits", "seed", "n_samples"):
-                assert row[col] == committed[col], (config["antennas"], kind, snr, col)
-            checked += 1
-        assert checked == 4
+        assert checked == 22
 
 
 class TestCriterion1:

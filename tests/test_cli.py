@@ -22,12 +22,11 @@ from phasecap.cli import (
     ExperimentConfig,
     canonical_text,
     derive_seed,
-    emit_plot_script,
     parse_config,
     row_cache_key,
     run_sweep,
 )
-from phasecap.errors import ConfigurationError, DomainError, RankError, SchemaError, UsageError
+from phasecap.errors import ConfigurationError, DomainError, RankError, UsageError
 from phasecap.inforate import qam_rate
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
@@ -515,81 +514,6 @@ class TestRunSweep:
         assert cached == {row_cache_key(config, "asymptotic", s) for s in (10.0, 12.0)}
 
 
-class TestPlotScript:
-    def make_csv(self, tmp_path, kinds=("U", "qam_lower")):
-        path = tmp_path / "r.csv"
-        lines = [",".join(CSV_COLUMNS)]
-        for kind in kinds:
-            for snr in (10.0, 12.0):
-                lines.append(f"{snr},{kind},{1.0 + snr / 10},{0.01},,,0,1,0.100")
-        path.write_text("\n".join(lines) + "\n")
-        return path
-
-    def test_declares_one_series_per_kind(self, tmp_path):
-        csv_path = self.make_csv(tmp_path)
-        out = emit_plot_script(csv_path, "1")
-        text = open(out).read()
-        assert "'U'" in text and "'qam_lower'" in text
-        compiled = compile(text, out, "exec")  # script must be valid python
-        assert compiled is not None
-
-    def test_labels_match_kind_names(self, tmp_path):
-        csv_path = self.make_csv(tmp_path, kinds=("U_s", "asymptotic"))
-        out = emit_plot_script(csv_path, "2")
-        text = open(out).read()
-        header_kinds = {"U_s", "asymptotic"}
-        import re
-
-        declared = set(re.findall(r"'([A-Za-z_0-9]+)'", text.split("for kind in (")[1].split(")")[0]))
-        assert declared == header_kinds
-
-    def test_idempotent(self, tmp_path):
-        csv_path = self.make_csv(tmp_path)
-        out1 = emit_plot_script(csv_path, "1")
-        data1 = open(out1, "rb").read()
-        out2 = emit_plot_script(csv_path, "1")
-        assert open(out2, "rb").read() == data1
-
-    def test_empty_csv_schema_error(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text(",".join(CSV_COLUMNS) + "\n")
-        with pytest.raises(SchemaError):
-            emit_plot_script(path, "1")
-        assert not os.path.exists(tmp_path / "empty_fig1.py")
-
-    def test_columns_read_by_name(self, tmp_path):
-        # a CSV written before the error column was added
-        path = tmp_path / "old.csv"
-        lines = [",".join(CSV_COLUMNS[:-1]), "10.0,U,1.5,0.01,,,0,1,0.100"]
-        path.write_text("\n".join(lines) + "\n")
-        out = emit_plot_script(path, "1")
-        assert "for kind in ('U',)" in open(out).read()
-
-    def test_missing_columns_schema_error(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("snr_db,kind\n10.0,U\n")
-        with pytest.raises(SchemaError):
-            emit_plot_script(path, "1")
-
-    @pytest.mark.parametrize("figure_id", ['1"', "a/b"])
-    def test_bad_figure_id_exits_1_and_writes_nothing(self, tmp_path, capsys, figure_id):
-        # a quote would end the script's string literals, and a slash would
-        # put the script in a new directory
-        csv_path = self.make_csv(tmp_path)
-        assert cli.main(["plot", str(csv_path), "--figure", figure_id]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: figure id") and captured.err.count("\n") == 1
-        assert sorted(os.listdir(tmp_path)) == ["r.csv"]
-
-    def test_figure_id_with_dash_and_underscore(self, tmp_path, capsys):
-        csv_path = self.make_csv(tmp_path)
-        assert cli.main(["plot", str(csv_path), "--figure", "fig-2_b"]) == 0
-        out = capsys.readouterr().out.strip()
-        assert out == str(tmp_path / "r_figfig-2_b.py")
-        compile(open(out).read(), out, "exec")
-
-
 class TestMainEntry:
     def test_spacing_command(self, capsys):
         rc = cli.main(["spacing", "--freq-ghz", "80", "--range-m", "500", "--antennas", "2"])
@@ -676,14 +600,14 @@ class TestMainEntry:
     def test_missing_config_file(self, capsys):
         assert cli.main(["validate", "/nonexistent/x.cfg"]) == 1
 
-    def test_sweep_and_plot_end_to_end(self, tmp_path, capsys):
+    def test_sweep_end_to_end(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(BASIC_CONFIG.format(csv=tmp_path / "o.csv", cache=tmp_path / "cc"))
         assert cli.main(["sweep", str(cfg)]) == 0
         csv_path = capsys.readouterr().out.strip().splitlines()[-1]
-        assert cli.main(["plot", csv_path, "--figure", "1"]) == 0
-        script = capsys.readouterr().out.strip()
-        assert os.path.exists(script)
+        assert os.path.exists(csv_path)
+        # the CSV is the only output: there is no plot command
+        assert cli.main(["plot", csv_path, "--figure", "1"]) == 1
 
     def test_sweep_verbose_progress(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
