@@ -29,8 +29,8 @@ mixture rows) is one log-sum-exp kernel, `_add_logsumexp`, over real
 points, whatever the set. The conditional and mixture rows, the filter
 chunks and the live-window search run one cache-sized block at a time
 (exact: every operation is row-wise, and the state carries over exactly).
-For square QAM the points are the levels of a PAM axis, on the first
-half-turn of the grid only; the rest is read off by symmetry.
+For square QAM the points are the levels of a PAM axis, and a row, being
+pi/2-periodic, is built on the first quarter-turn and copied into the rest.
 """
 
 from dataclasses import dataclass, field
@@ -54,8 +54,8 @@ MIN_N_BLOCKS = 2
 MIN_PAST_WINDOW = 100
 MIN_KEPT_STEPS = 64
 
-# The mixture rows read the phase grid a quarter turn (Q/4 grid steps) on, so
-# Q must be a multiple of this.
+# A square-QAM mixture row is built on one quarter-turn (Q/4 grid steps) and
+# copied into the other three, so Q must be a multiple of this.
 Q_LEVELS_MULTIPLE = 4
 
 # `cond_entropy` reads a predictive density on its levels above this share
@@ -162,14 +162,13 @@ def _conditional_log_rows(y, x, grid, m, rows):
 
     Uses ||y - e^{j theta} x||^2 = ||y||^2 + ||x||^2 - 2 Re(e^{j theta} y^H x).
     """
-    ip = np.sum(np.conj(y) * x, axis=1)
+    ip = 2.0 * np.sum(np.conj(y) * x, axis=1)
     const = -np.sum(np.abs(y) ** 2, axis=1) - np.sum(np.abs(x) ** 2, axis=1) - m * LOG_PI
     cos_g, sin_g = np.cos(grid), np.sin(grid)
     for block in _row_blocks(len(ip), grid.size):
         out = rows[block]
         np.multiply.outer(ip.real[block], cos_g, out=out)
         out -= np.multiply.outer(ip.imag[block], sin_g)
-        out *= 2.0
         out += const[block, None]
 
 
@@ -221,15 +220,14 @@ def _mixture_log_rows_separable(y, symbols, grid, m, rows):
 
     Square QAM, the product set L x L of real levels with L = -L, factors
     once more, into f_L(c) = log sum_{w in L} exp(2 w c - w^2) over each PAM
-    axis. On the grid theta_q = 2 pi q / Q, Q a multiple of 4, both axes read
-    one (n, Q/2) table per antenna, f_L of c = Re p on the first half-turn,
-    by two exact identities:
-      * -Im p(theta) = Re p(theta + pi/2): the imaginary axis reads it Q/4
-        grid steps on;
-      * Re p(theta + pi) = -Re p(theta) and f_L(-c) = f_L(c), as L = -L:
-        column q reads it at q mod Q/2.
-    Only rounding moves against sums over all Q phases. Any other set sums
-    its points on all Q phases.
+    axis, and its row is exactly pi/2-periodic: as -Im p(theta) =
+    Re p(theta + pi/2), Re p(theta + pi) = -Re p(theta) and f_L(-c) = f_L(c),
+    each antenna adds f_L(Re p) at theta and at theta + pi/2, and a
+    quarter-turn on swaps the two. On the grid theta_q = 2 pi q / Q, Q a
+    multiple of 4, each antenna's (n, Q/2) table of f_L(Re p) on the first
+    half-turn adds its two quarter-turns into the first Q/4 columns, and
+    that quarter is copied into the other three. Only rounding moves against
+    sums over all Q phases. Any other set sums its points on all Q phases.
 
     The rows go one block of about ROW_BLOCK_CELLS cells at a time, so
     that the passes stay in cache; every operation is row-wise, so that
@@ -237,32 +235,33 @@ def _mixture_log_rows_separable(y, symbols, grid, m, rows):
     """
     levels = np.unique(symbols.real)
     q = grid.size
-    half = q // 2
     product = levels.size**2 == symbols.size and np.array_equal(levels, np.unique(symbols.imag))
     pam = product and np.array_equal(levels, -levels[::-1])  # square QAM: L x L with L = -L
+    width = q // 4 if pam else q  # the columns built; the row repeats with this period
     if pam:
-        cos_h, sin_h = np.cos(grid[:half]), np.sin(grid[:half])
+        cos_h, sin_h = np.cos(grid[: 2 * width]), np.sin(grid[: 2 * width])
         levels = levels[:, None]
     else:
         points = np.stack([symbols.real, symbols.imag], axis=1)
     for block in _row_blocks(y.shape[0], q):
         yb, out = y[block], rows[block]
-        out.fill(0.0)
+        head = out[:, :width]
+        head.fill(0.0)
         if pam:
             for yr, yi in zip(yb.real.T, yb.imag.T):
                 c = np.multiply.outer(yr, cos_h) + np.multiply.outer(yi, sin_h)  # Re p
                 table = np.zeros_like(c)
                 _add_logsumexp(table, (c,), levels)
-                for s in (0, q // 4):
-                    out[:, : half - s] += table[:, s:]
-                    out[:, half - s : q - s] += table
-                    out[:, q - s :] += table[:, :s]
+                head += table[:, :width]
+                head += table[:, width:]
         else:
             proj = _projections(yb, grid)
             for c in zip(proj, proj):  # (Re p, -Im p) of each antenna
-                _add_logsumexp(out, c, points)
-        out -= m * np.log(symbols.size)
-        out += (-np.sum(np.abs(yb) ** 2, axis=1) - m * LOG_PI)[:, None]
+                _add_logsumexp(head, c, points)
+        head -= m * np.log(symbols.size)
+        head += (-np.sum(np.abs(yb) ** 2, axis=1) - m * LOG_PI)[:, None]
+        for s in range(width, q, width):
+            out[:, s : s + width] = head
     return rows
 
 

@@ -98,12 +98,13 @@ def wrapped_gaussian_entropy(sigma):
 
 def _rician_branches(c, a):
     """`_rician_cos_pdf`'s Bessel-term branches at cos(phi) = |c| > 0 and at
-    cos(phi) = -|c| <= 0, split so that every exponent stays <= 0."""
+    cos(phi) = -|c| <= 0, with exponents <= 0: neg = e^-a erfcx(sqrt(a) |c|) and
+    pos = 2 e^{-a sin^2 phi} - neg, as 1 + erf x = 2 - e^{-x^2} erfcx x."""
     mag = np.abs(c)
-    pos = np.exp(a * (mag * mag - 1.0))  # exp(-a sin^2 phi)
-    mag = np.sqrt(a) * mag
-    pos *= 1.0 + special.erf(mag)
-    return pos, np.exp(-a) * special.erfcx(mag)
+    neg = np.exp(-a) * special.erfcx(np.sqrt(a) * mag)
+    pos = 2.0 * np.exp(a * (mag * mag - 1.0))  # 2 exp(-a sin^2 phi)
+    pos -= neg
+    return pos, neg
 
 
 def _rician_cos_pdf(c, a, branches=None):

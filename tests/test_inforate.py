@@ -467,6 +467,22 @@ class TestQamRate:
             reference = per_antenna_logsumexp_rows(y, symbols, grid)
             assert np.max(np.abs(factored - reference)) < 1e-10, q_levels
 
+    @pytest.mark.parametrize("order", [16, 64])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_square_qam_rows_repeat_every_quarter_turn(self, order, m):
+        # each antenna adds its PAM table at theta and at theta + pi/2, which
+        # a quarter-turn on swaps, so the row is pi/2-periodic; built on one
+        # quarter and copied, the four quarters agree bit for bit
+        p = ChannelParams(m, SIGMA_6DEG, 100.0)
+        symbols = qam_constellation(order).scaled_symbols(p.snr, m)
+        x = symbols[np.random.default_rng(order).integers(0, order, size=(300, m))]
+        y, _ = simulate(p, x, seed=[order, m, 4])
+        for q_levels in (16, 64, 200):
+            grid, _ = _phase_model(SIGMA_6DEG, q_levels)
+            first, *rest = np.split(separable_rows(y, symbols, grid, m), 4, axis=1)
+            for quarter in rest:
+                assert np.array_equal(quarter, first), q_levels
+
     @pytest.mark.parametrize(
         "constellation, widths",
         [

@@ -6,6 +6,7 @@ from phasecap.errors import DomainError
 from phasecap.mathcore import (
     DEFAULT_QUADRATURE,
     TWO_PI,
+    _rician_branches,
     _rician_cos_pdf,
     wrap_truncation_order,
     wrapped_gaussian_cdf,
@@ -111,6 +112,16 @@ def rician_pdf(phi, a):
 
 
 class TestRicianPhasePdf:
+    @pytest.mark.parametrize("a", [1e-3, 10.0, 100.0, 1000.0])
+    def test_branches_from_one_erfcx(self, a):
+        # pos = 2 e^{-a sin^2 phi} - neg, by 1 + erf x = 2 - e^{-x^2} erfcx x
+        c = np.concatenate(([0.0, 1.0, -1.0], np.linspace(-1.0, 1.0, 4001)))
+        pos, neg = _rician_branches(c, a)
+        x = np.sqrt(a) * np.abs(c)
+        assert np.array_equal(neg, np.exp(-a) * special.erfcx(x))
+        reference = np.exp(a * (c * c - 1.0)) * (1.0 + special.erf(x))
+        np.testing.assert_allclose(pos, reference, rtol=2e-14, atol=0.0)
+
     def test_zero_snr_uniform(self):
         phi = np.linspace(-10.0, 10.0, 100_001)
         assert np.all(rician_pdf(phi, 0.0) == 1 / TWO_PI)
