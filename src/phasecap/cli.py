@@ -119,7 +119,8 @@ class ExperimentConfig:
     """Parsed sweep configuration. Each field declares where a config file
     sets it and how its value is parsed; the fields are in canonical order.
     A config built directly is checked too: each field's parser reads the
-    value's file text."""
+    value's file text, and the rules across fields hold. `parse_config`
+    alone reads the H file that nonunitary kinds name."""
 
     antennas: int = _option(1, "channel", _bounded(int, 1))
     sigma_delta_degrees: float = _option(6.0, "channel", _bounded(_finite_float, 0, strict=True))
@@ -147,6 +148,11 @@ class ExperimentConfig:
                 raise UsageError(f"bad value for {_file_key(f)!r}: {exc}") from exc
         if self.stop_db < self.start_db:
             raise UsageError("stop_db must be >= start_db")
+        uses_pilots = any("past_window" in KINDS[k].fields for k in self.kinds)
+        if uses_pilots and self.block_length < self.past_window + inforate.MIN_KEPT_STEPS:
+            raise UsageError(f"block_length must be >= past_window + {inforate.MIN_KEPT_STEPS}")
+        if self.h_source == "unitary" and any(KINDS[k].snr_scale is not None for k in self.kinds):
+            raise UsageError("nonunitary kinds require an h_matrix file in [channel]")
 
     def snr_grid_db(self):
         count = int(round((self.stop_db - self.start_db) / self.step_db)) + 1
@@ -190,12 +196,7 @@ def parse_config(text, base_dir=""):
     if values.get("h_source", "unitary") != "unitary":
         values["h_source"] = os.path.join(base_dir, values["h_source"])
     config = ExperimentConfig(**values)
-    uses_pilots = any("past_window" in KINDS[k].fields for k in config.kinds)
-    if uses_pilots and config.block_length < config.past_window + inforate.MIN_KEPT_STEPS:
-        raise UsageError(f"block_length must be >= past_window + {inforate.MIN_KEPT_STEPS}")
     if any(KINDS[kind].snr_scale is not None for kind in config.kinds):
-        if config.h_source == "unitary":
-            raise UsageError("nonunitary kinds require an h_matrix file in [channel]")
         h = load_channel_matrix(config.h_source)  # square, or SchemaError
         if h.shape[0] != config.antennas:
             raise UsageError(f"h_matrix must be {config.antennas}x{config.antennas}, got {h.shape}")

@@ -15,7 +15,8 @@ Two consumers:
     pilot likelihood reads the phase difference only through its cosine (an
     outer product of pilot and grid terms). Each density is kept once more
     on its W live levels around its peak, and `cond_entropy` sums over those
-    only, in one (W, N) buffer; a wider past window slices them in place.
+    only, in one (W, N) buffer. The samples are step-major, so a wider past
+    window drops a head of every array and keeps the rest as a slice.
 
 Both are Monte Carlo means over independent blocks, with the block-level
 standard error of `entropy.mean_se`. Both step one forward filter,
@@ -97,20 +98,18 @@ def _check_blocks(q_levels, block_length, n_blocks):
         raise ConfigurationError(f"n_blocks must be >= {MIN_N_BLOCKS}, got {n_blocks}")
 
 
-def _forward_filter(transition, lik, states=None, state=None):
+def _forward_filter(transition, lik, state, states=None):
     """Predict-weight-normalize over the quantized phase, for the pilot and
     the QAM recursions alike.
 
     `lik` holds (n, Q) likelihood rows in the linear domain, or (n, B, Q)
-    rows of B chains stepped together as one (B, Q) state. From `state`
-    (updated in place) or else the uniform state predicted once, each step
-    keeps the state (in `states[l]`, if given), weights it by its row,
-    normalizes by the sum c and predicts. Returns the log normalizers; one
-    that is 0 or not finite raises after the last step.
+    rows of B chains stepped together as one (B, Q) state. From the carried
+    `state`, updated in place, each step keeps the state (in `states[l]`, if
+    given), weights it by its row, normalizes by the sum c and predicts.
+    Returns the log normalizers; one that is 0 or not finite raises after
+    the last step.
     """
     norms = np.empty(lik.shape[:-1])
-    if state is None:
-        state = np.full(lik.shape[1:], 1.0 / transition.shape[0]) @ transition
     v = np.empty_like(state)
     # each step's c is a (B, 1) view of its normalizers, which broadcasts over Q
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -151,7 +150,7 @@ def _forward_loglik(transition, log_rows):
         with np.errstate(invalid="ignore"):  # -inf - -inf on a row with no finite peak
             np.subtract(rows, peak[block, :, None], out=lik)
         np.exp(lik, out=lik)
-        norms[block] = _forward_filter(transition, lik, state=state)
+        norms[block] = _forward_filter(transition, lik, state)
     ll_cond, ll_mix = np.cumsum(norms + peak, axis=0)[-1]
     return ll_cond - ll_mix
 
@@ -352,8 +351,9 @@ class PredictiveEnsemble:
     """Per-sample predictive phase densities from a pilot-tracking recursion.
 
     Each sample carries p(theta_l | peak-power pilot past), the true phase
-    theta_l, and an independent CN(0,1) draw for the current observation,
-    in `n_blocks` consecutive runs of equal length, one per block.
+    theta_l, and an independent CN(0,1) draw for the current observation.
+    The samples are step-major: sample i is step `past_window + i // B` of
+    block `i % B`, with B = `n_blocks`.
     The ensemble is independent of xi, so one build serves every point of
     the amplitude optimization with common random numbers.
 
@@ -361,7 +361,8 @@ class PredictiveEnsemble:
     once more on its W live levels (see `_live_window`): `window` (W, N),
     centred on the level at phase `centre` (N,), at the phase `offsets` (W,)
     from it, and each sample's `reach`. These are derived from `predictive`
-    and equal a fresh build's, also after `_widen`.
+    and equal a fresh build's, also after `_widen`, whose arrays are slices
+    of the build's.
     """
 
     grid: np.ndarray
@@ -385,26 +386,17 @@ class PredictiveEnsemble:
         return self.theta.size
 
     def _widen(self, past_window):
-        """Drop each block's first `past_window - self.past_window` samples
-        in place, as a build with `past_window` would: the kept tails move to
-        the front of every array, a row block at a time, and the window keeps
-        the rows that the kept samples' largest reach needs."""
-        n, q = self.predictive.shape
+        """Drop each block's first `past_window - self.past_window` samples,
+        as a build with `past_window` would. Samples are step-major, so those
+        are the head of every array, and each array becomes its tail: the
+        window keeps the rows that the kept samples' largest reach needs."""
+        cut = (past_window - self.past_window) * self.n_blocks
         half = int(self.reach.max())
-        rows = np.flatnonzero(np.arange(n) % (n // self.n_blocks) >= past_window - self.past_window)
-        # row i moves up from rows[i] >= i, so no block overwrites a later source
         for name in ("predictive", "theta", "z_test", "centre", "reach"):
-            values = getattr(self, name)
-            front = values[: rows.size]
-            for block in _row_blocks(rows.size, q):
-                front[block] = values[rows[block]]
-            setattr(self, name, front)
-        steps = _window_steps(int(self.reach.max()), q)
-        window = self.window.ravel()[: steps.size * rows.size].reshape(steps.size, rows.size)
-        for out, old in zip(window, self.window[half + steps[0] :]):
-            out[:] = old[rows]  # lands before the old rows still to be read
-        self.offsets = TWO_PI / q * steps
-        self.window = window
+            setattr(self, name, getattr(self, name)[cut:])
+        steps = _window_steps(int(self.reach.max()), self.grid.size)
+        self.offsets = TWO_PI / self.grid.size * steps
+        self.window = self.window[half + steps[0] : half + steps[0] + steps.size, cut:]
         self.past_window = past_window
 
     def cond_entropy(self, xi):
@@ -412,10 +404,11 @@ class PredictiveEnsemble:
 
         Evaluates -log of the predictive density circularly convolved with
         the von Mises conditional of phi_0 given the realized amplitude, at
-        the realized observation, and averages per block. The convolution
-        runs over each sample's window only; with v = u0 - centre, the
-        exponent kappa (cos(v - d) - 1) over the (W,) offsets d and the (N,)
-        samples is one (W, 3) @ (3, N) product into one (W, N) buffer: rows
+        the realized observation, and averages per block (a column of the
+        step-major samples, in step order). The convolution runs over each
+        sample's window only; with v = u0 - centre, the exponent
+        kappa (cos(v - d) - 1) over the (W,) offsets d and the (N,) samples
+        is one (W, 3) @ (3, N) product into one (W, N) buffer: rows
         (cos d, sin d, -1) against columns kappa (cos v, sin v, 1).
         """
         if xi < 0:
@@ -435,7 +428,7 @@ class PredictiveEnsemble:
                 "predictive/von-Mises mixture underflowed; raise q_levels for this SNR"
             )
         values = -np.log(mix) + np.log(TWO_PI * special.i0e(kappa))
-        return mean_se(np.array([block.mean() for block in np.split(values, self.n_blocks)]))
+        return mean_se(np.array([block.mean() for block in values.reshape(-1, self.n_blocks).T]))
 
 
 def _pilot_likelihood(u, grid, snr):
@@ -464,9 +457,11 @@ def build_predictive_ensemble(
     first `past_window`, the burn-in, which must lie in [MIN_PAST_WINDOW,
     block_length - MIN_KEPT_STEPS]. The blocks draw their own streams and
     are stepped as one (n_blocks, Q) state, a chunk of about ROW_BLOCK_CELLS
-    likelihood cells at a time; each kept state goes straight into its row
-    of the full (N, Q) densities, which the ensemble keeps with their live
-    window. Nothing here reads params.m: the ensemble is the same for every M.
+    likelihood cells at a time. Every array is step-major, (steps, blocks):
+    each kept chunk of states goes straight into its rows of the
+    (n - burn, n_blocks, Q) densities, which the ensemble keeps flat, with
+    their live window. Nothing here reads params.m: the ensemble is the same
+    for every M.
     """
     _check_blocks(q_levels, block_length, n_blocks)
     n, burn = int(block_length), int(past_window)
@@ -477,24 +472,23 @@ def build_predictive_ensemble(
     grid, transition = _phase_model(params.sigma_delta, q_levels)
     q = grid.size
 
-    theta, z_test = np.empty((n_blocks, n)), np.empty((n_blocks, n), dtype=complex)
-    u = np.empty((n, n_blocks))  # step-major: a chunk of steps is one slice
+    theta, u = np.empty((n, n_blocks)), np.empty((n, n_blocks))
+    z_test = np.empty((n, n_blocks), dtype=complex)
     for b in range(n_blocks):
         rng = np.random.default_rng([int(seed), b, 0xE])
-        theta[b] = wiener_phase(rng, params.sigma_delta, n)
+        theta[:, b] = wiener_phase(rng, params.sigma_delta, n)
         z_pilot = sample_circular_gaussian(rng, n)
-        z_test[b] = sample_circular_gaussian(rng, n)
-        u[:, b] = np.mod(theta[b] + np.angle(1.0 + z_pilot / np.sqrt(params.snr)), TWO_PI)
+        z_test[:, b] = sample_circular_gaussian(rng, n)
+        u[:, b] = np.mod(theta[:, b] + np.angle(1.0 + z_pilot / np.sqrt(params.snr)), TWO_PI)
 
-    predictive = np.empty((n_blocks, n - burn, q))
-    kept = predictive.transpose(1, 0, 2)  # (steps, blocks, Q)
+    predictive = np.empty((n - burn, n_blocks, q))
     state = np.full((n_blocks, q), 1.0 / q) @ transition
-    for steps, states in ((u[:burn], None), (u[burn:], kept)):
+    for steps, states in ((u[:burn], None), (u[burn:], predictive)):
         for block in _row_blocks(len(steps), n_blocks * q):
             lik = _pilot_likelihood(steps[block], grid, params.snr)
-            _forward_filter(transition, lik, None if states is None else states[block], state)
+            _forward_filter(transition, lik, state, None if states is None else states[block])
 
-    samples = (predictive.reshape(-1, q), theta[:, burn:].ravel(), z_test[:, burn:].ravel())
+    samples = (predictive.reshape(-1, q), theta[burn:].ravel(), z_test[burn:].ravel())
     return PredictiveEnsemble(grid, *samples, burn, int(n_blocks))
 
 
@@ -507,9 +501,10 @@ def adaptive_predictive_ensemble(
     window-sensitive point. Stops once the estimate moves by less than half
     its std error, after at most three doublings, or before a window would
     leave a block fewer than MIN_KEPT_STEPS samples. The pilot recursion
-    runs once: a wider window w' drops the first w' - w samples of each
-    block, in place (`PredictiveEnsemble._widen`), so one ensemble is alive
-    throughout and no doubling searches the window again.
+    runs once: a wider window w' drops the first w' - w steps of each block,
+    which lead the step-major arrays, so each array becomes a slice of the
+    build's (`PredictiveEnsemble._widen`); no data moves and no doubling
+    searches the window again.
     """
     ensemble = build_predictive_ensemble(
         params, q_levels, block_length, n_blocks, seed, past_window

@@ -92,8 +92,12 @@ class TestConfigParsing:
             parse_config("[sweep]\nkinds = asymptotic, U_s, asymptotic\n")
 
     def test_nonunitary_requires_matrix(self):
-        with pytest.raises(UsageError, match="nonunitary"):
+        message = r"^nonunitary kinds require an h_matrix file in \[channel\]$"
+        with pytest.raises(UsageError, match=message):
             parse_config("[sweep]\nkinds = nonunitary_upper\n")
+        # a config built directly is held to the same rule
+        with pytest.raises(UsageError, match=message):
+            ExperimentConfig(kinds=("nonunitary_upper",))
 
     @pytest.mark.parametrize(
         "key, low",
@@ -131,8 +135,11 @@ class TestConfigParsing:
         # a U block keeps at least 64 samples after its past window; QAM
         # rows have no burn-in, so their config is not refused
         text = "[sweep]\nkinds = {}\n[mc]\nblock_length = {}\npast_window = 200\n"
-        with pytest.raises(UsageError, match=r"block_length must be >= past_window \+ 64"):
+        message = r"^block_length must be >= past_window \+ 64$"
+        with pytest.raises(UsageError, match=message):
             parse_config(text.format("qam_lower, U", 263))
+        with pytest.raises(UsageError, match=message):
+            ExperimentConfig(kinds=("U",), block_length=250, past_window=200)
         assert parse_config(text.format("U", 264)).block_length == 264
         assert parse_config(text.format("qam_lower", 263)).block_length == 263
 

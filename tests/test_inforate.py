@@ -66,6 +66,12 @@ def separable_rows(y, symbols, grid, m):
     return _mixture_log_rows_separable(y, symbols, grid, m, np.empty((len(y), grid.size)))
 
 
+def uniform_start(transition, lik):
+    """The uniform state predicted once: the start of a recursion over the
+    (n, Q) or (n, B, Q) likelihood rows `lik`."""
+    return np.full(lik.shape[1:], 1.0 / transition.shape[0]) @ transition
+
+
 def per_antenna_logsumexp_rows(y, symbols, grid):
     """The same rows summed over the full symbol set of each antenna in turn."""
     return sum(logsumexp_rows(y[:, [i]], symbols[:, None], grid) for i in range(y.shape[1]))
@@ -146,8 +152,8 @@ class TestForwardRecursion:
             self.path_sums(transition, log_rows[:, c]) for c in range(2)
         )
         assert abs(_forward_loglik(transition, log_rows) - (cond - mix)) < 1e-12
-        states = np.empty_like(log_rows)
-        _forward_filter(transition, np.exp(log_rows), states)
+        states, lik = np.empty_like(log_rows), np.exp(log_rows)
+        _forward_filter(transition, lik, uniform_start(transition, lik), states)
         assert np.max(np.abs(states - np.stack([cond_pred, mix_pred], axis=1))) < 1e-13
 
     def test_in_place_rows_equal_the_broadcast_expressions(self):
@@ -169,7 +175,8 @@ class TestForwardRecursion:
         _mixture_log_rows_separable(y, symbols, grid, 2, rows[:, 1])
         assert np.array_equal(rows[:, 1], separable_rows(y, symbols, grid, 2))
         peak = np.max(rows, axis=2)
-        norms = _forward_filter(transition, np.exp(rows - peak[:, :, None]))
+        lik = np.exp(rows - peak[:, :, None])
+        norms = _forward_filter(transition, lik, uniform_start(transition, lik))
         cond, mix = np.cumsum(norms + peak, axis=0)[-1]
         assert _forward_loglik(transition, rows) == cond - mix
 
@@ -238,8 +245,9 @@ class TestForwardRecursion:
     def test_stored_states_leave_the_normalizers_unchanged(self):
         _, transition = _phase_model(SIGMA_6DEG, 200)
         lik = np.exp(np.random.default_rng(5).normal(scale=3.0, size=(300, 200)))
-        stored = _forward_filter(transition, lik, np.empty_like(lik))
-        assert np.array_equal(stored, _forward_filter(transition, lik))
+        start = uniform_start(transition, lik)
+        stored = _forward_filter(transition, lik, start.copy(), np.empty_like(lik))
+        assert np.array_equal(stored, _forward_filter(transition, lik, start))
 
     @staticmethod
     def per_step_filter(transition, lik, states=None):
@@ -262,7 +270,7 @@ class TestForwardRecursion:
         _, transition = _phase_model(SIGMA_6DEG, 200)
         lik = np.exp(np.random.default_rng(5).normal(scale=scale, size=(2000, 200)))
         states, ref_states = np.empty_like(lik), np.empty_like(lik)
-        norms = _forward_filter(transition, lik, states)
+        norms = _forward_filter(transition, lik, uniform_start(transition, lik), states)
         assert np.array_equal(norms, self.per_step_filter(transition, lik, ref_states))
         assert np.array_equal(states, ref_states)
 
@@ -275,10 +283,12 @@ class TestForwardRecursion:
         u = np.stack([pilot_phases(snr, 1000, seed) for seed in range(4)], axis=1)
         lik = _pilot_likelihood(u, grid, snr)
         states = np.empty_like(lik)
-        norms = _forward_filter(transition, lik, states)
+        norms = _forward_filter(transition, lik, uniform_start(transition, lik), states)
         for b in range(4):
             one_states = np.empty_like(lik[:, b])
-            one_norms = _forward_filter(transition, lik[:, b], one_states)
+            one_norms = _forward_filter(
+                transition, lik[:, b], uniform_start(transition, lik[:, b]), one_states
+            )
             # a log normalizer's error is its normalizer's relative error
             assert np.max(np.abs(norms[:, b] - one_norms)) < 1e-14
             # densities far in the tails at 30 dB are subnormal or 0, where
@@ -292,10 +302,10 @@ class TestForwardRecursion:
         _, transition = _phase_model(SIGMA_6DEG, 64)
         lik = np.exp(np.random.default_rng(8).normal(scale=2.0, size=(300, 3, 64)))
         states, chunked = np.empty_like(lik), np.empty_like(lik)
-        norms = _forward_filter(transition, lik, states)
-        state = np.full((3, 64), 1.0 / 64) @ transition
+        norms = _forward_filter(transition, lik, uniform_start(transition, lik), states)
+        state = uniform_start(transition, lik)
         parts = [
-            _forward_filter(transition, lik[lo : lo + 70], chunked[lo : lo + 70], state)
+            _forward_filter(transition, lik[lo : lo + 70], state, chunked[lo : lo + 70])
             for lo in range(0, 300, 70)
         ]
         assert np.array_equal(np.concatenate(parts), norms)
@@ -312,7 +322,7 @@ class TestForwardRecursion:
         lik[zero] = 0.0
         message = "^forward-recursion weight underflowed; raise q_levels for this SNR$"
         with pytest.raises(NumericUnderflowError, match=message):
-            _forward_filter(transition, lik)
+            _forward_filter(transition, lik, uniform_start(transition, lik))
 
     def test_pilot_recursion_underflow_error(self, monkeypatch):
         # a pilot likelihood of 0 everywhere reaches the filter's one check
@@ -704,7 +714,7 @@ def full_grid_cond_entropy(ens, xi):
     delta = (ens.theta + np.angle(zr))[:, None] - ens.grid[None, :]
     mix = np.sum(ens.predictive * np.exp(kappa[:, None] * (np.cos(delta) - 1.0)), axis=1)
     values = np.log(TWO_PI * special.ive(0, kappa)) - np.log(mix)
-    return mean_se(np.array([block.mean() for block in np.split(values, ens.n_blocks)]))
+    return mean_se(np.array([block.mean() for block in values.reshape(-1, ens.n_blocks).T]))
 
 
 def whole_array_live_window(predictive, grid):
@@ -738,7 +748,7 @@ def two_buffer_cond_entropy(ens, xi):
     t *= kappa
     mix = np.einsum("wn,wn->n", ens.window, np.exp(t, out=t))
     values = -np.log(mix) + np.log(TWO_PI * special.i0e(kappa))
-    return mean_se(np.array([block.mean() for block in np.split(values, ens.n_blocks)]))
+    return mean_se(np.array([block.mean() for block in values.reshape(-1, ens.n_blocks).T]))
 
 
 def two_ensemble_doubling(params, q_levels, block_length, n_blocks, seed, past_window):
@@ -754,8 +764,7 @@ def two_ensemble_doubling(params, q_levels, block_length, n_blocks, seed, past_w
         window = 2 * ensemble.past_window
         if window + MIN_KEPT_STEPS > block_length:
             break
-        keep = ensemble.n_samples // n_blocks
-        rows = np.arange(ensemble.n_samples) % keep >= window - ensemble.past_window
+        rows = np.arange(ensemble.n_samples) // n_blocks >= window - ensemble.past_window
         sliced = {f: getattr(ensemble, f)[rows] for f in ("predictive", "theta", "z_test")}
         wider = replace(ensemble, past_window=window, **sliced)
         new_value, new_se = wider.cond_entropy(xi_ref)
@@ -913,24 +922,57 @@ class TestConditionalPhaseEntropy:
         assert ens.window.shape[0] < first.window.shape[0]
         self.assert_same_ensemble(ens, build_predictive_ensemble(p, 100, 600, 2, 0, 400))
 
+    def test_samples_are_step_major(self):
+        # sample i is step burn + i // B of block i % B, so a wider burn-in
+        # drops a head of every array
+        p = ChannelParams(1, SIGMA_6DEG, 100.0)
+        n, blocks, burn = 300, 3, 100
+        ens = build_predictive_ensemble(p, 64, n, blocks, 5, burn)
+        streams = np.stack(
+            [wiener_phase(np.random.default_rng([5, b, 0xE]), SIGMA_6DEG, n) for b in range(blocks)]
+        )
+        i = np.arange(ens.n_samples)
+        assert ens.n_samples == (n - burn) * blocks
+        assert np.array_equal(ens.theta, streams[i % blocks, burn + i // blocks])
+
+    def test_widening_moves_no_data(self, monkeypatch):
+        # each doubling slices the build's arrays: their buffers keep every
+        # value, and the widened ensemble reads from them
+        p = ChannelParams(1, SIGMA_6DEG, 50.0)
+        names = ("predictive", "theta", "z_test", "centre", "window", "reach")
+        built, build = {}, inforate.build_predictive_ensemble
+
+        def spy(*args):
+            ens = build(*args)
+            built.update({name: (getattr(ens, name), getattr(ens, name).copy()) for name in names})
+            return ens
+
+        monkeypatch.setattr(inforate, "build_predictive_ensemble", spy)
+        ens = adaptive_predictive_ensemble(p, 100, 600, 2, 9, 150)
+        assert ens.past_window == 300
+        for name, (array, before) in built.items():
+            assert np.array_equal(array, before), name
+            assert np.shares_memory(getattr(ens, name), array), name
+
     @pytest.mark.parametrize("flat_rows, width", [(2, 5), (3, 16)], ids=["narrows", "stays_full"])
     def test_widening_from_the_full_circle_equals_a_fresh_ensemble(self, flat_rows, width):
-        # Q = 16, 3 blocks of 8 samples: the first `flat_rows` of each block
-        # are flat (their window is all 16 levels), the rest peak with a
-        # reach of 2 levels (5 levels: exp(-36) is below PREDICTIVE_CUT).
-        # Dropping 2 samples per block drops every flat row, or all but one.
+        # Q = 16, 3 blocks of 8 samples, step-major: the first `flat_rows`
+        # steps of each block are flat (their window is all 16 levels), the
+        # rest peak with a reach of 2 levels (5 levels: exp(-36) is below
+        # PREDICTIVE_CUT). Dropping 2 steps per block drops every flat row,
+        # or all but one.
         q, keep, blocks = 16, 8, 3
         rng = np.random.default_rng(4)
         grid = TWO_PI * np.arange(q) / q
         dist = np.minimum(np.arange(q), q - np.arange(q))
         predictive = np.stack([np.roll(np.exp(-4.0 * dist**2), k) for k in rng.integers(0, q, 24)])
-        flat = np.arange(blocks * keep) % keep < flat_rows
+        flat = np.arange(blocks * keep) // blocks < flat_rows
         predictive[flat] = 1.0 + 0.1 * rng.random((flat.sum(), q))
         theta, z_test = rng.uniform(0.0, TWO_PI, 24), sample_circular_gaussian(rng, 24)
         ens = inforate.PredictiveEnsemble(grid, predictive.copy(), theta.copy(), z_test.copy(), 100, 3)
         assert ens.window.shape == (q, 24)
         ens._widen(102)
-        rows = np.arange(blocks * keep) % keep >= 2
+        rows = np.arange(blocks * keep) // blocks >= 2
         fresh = inforate.PredictiveEnsemble(grid, predictive[rows], theta[rows], z_test[rows], 102, 3)
         assert ens.window.shape == (width, 18)
         self.assert_same_ensemble(ens, fresh)
@@ -1005,9 +1047,9 @@ class TestConditionalPhaseEntropy:
 
 
 def test_figure_budget_u_row_peak_memory():
-    # a U row holds one ensemble, compacted in place by each doubling, one
-    # chunk of pilot rows and row-block temporaries: about 19.1 MB of numpy
-    # buffers at figure budgets
+    # a U row holds one ensemble, which each doubling slices, one chunk of
+    # pilot rows and row-block temporaries: about 19.1 MB of numpy buffers
+    # at figure budgets
     path = os.path.join(os.path.dirname(__file__), "..", "configs", "fig1.cfg")
     with open(path) as fh:
         config = asdict(cli.parse_config(fh.read()))
