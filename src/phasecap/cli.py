@@ -315,13 +315,13 @@ _U_FIELDS = ("block_length", "n_blocks", "q_levels", "past_window")
 _QAM_FIELDS = ("block_length", "n_blocks", "q_levels", "constellation")
 
 KINDS = {
-    "U": Kind(_U_FIELDS, None, _upper_U, version=11),
+    "U": Kind(_U_FIELDS, None, _upper_U, version=12),
     "U_s": Kind(("n_samples",), None, _upper_Us, version=10),
     "asymptotic": Kind((), None, _asymptotic),
     "memoryless_plus_corr": Kind((), None, _memoryless_plus_corr, version=5),
-    "qam_lower": Kind(_QAM_FIELDS, None, _qam_lower, version=6),
-    "nonunitary_upper": Kind(_U_FIELDS, max, _upper_U, version=11),
-    "nonunitary_lower": Kind(_QAM_FIELDS, min, _qam_lower, version=6),
+    "qam_lower": Kind(_QAM_FIELDS, None, _qam_lower, version=7),
+    "nonunitary_upper": Kind(_U_FIELDS, max, _upper_U, version=12),
+    "nonunitary_lower": Kind(_QAM_FIELDS, min, _qam_lower, version=7),
 }
 
 

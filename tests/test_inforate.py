@@ -26,6 +26,7 @@ from phasecap.inforate import (
     LOG_PI,
     MIN_KEPT_STEPS,
     PREDICTIVE_CUT,
+    RESCALE_STEPS,
     _forward_filter,
     _forward_loglik,
     _mixture_log_rows_dense,
@@ -160,7 +161,7 @@ class TestForwardRecursion:
         # the conditional rows are built a row block at a time into the
         # conditional half of the (n, 2, Q) rows, the mixture rows into the
         # other half, and the pass streams the exps of the broadcast
-        # expression below through the filter
+        # expression below through the filter, rescaled as it rescales
         grid, transition = _phase_model(SIGMA_6DEG, 200)
         rng = np.random.default_rng(5)
         y = rng.standard_normal((500, 2)) + 1j * rng.standard_normal((500, 2))
@@ -176,9 +177,35 @@ class TestForwardRecursion:
         assert np.array_equal(rows[:, 1], separable_rows(y, symbols, grid, 2))
         peak = np.max(rows, axis=2)
         lik = np.exp(rows - peak[:, :, None])
-        norms = _forward_filter(transition, lik, uniform_start(transition, lik))
-        cond, mix = np.cumsum(norms + peak, axis=0)[-1]
+        state = uniform_start(transition, lik)
+        shift = sum(
+            _forward_filter(transition, lik[block], state)
+            for block in mathcore._row_blocks(500, 2 * 200)
+        )
+        cond, mix = shift * np.log(2.0) + np.log(state.sum(axis=1)) + np.cumsum(peak, axis=0)[-1]
         assert _forward_loglik(transition, rows) == cond - mix
+
+    def test_rows_that_leave_the_normal_range_match_the_per_step_filter(self):
+        # outputs drawn apart from the inputs at 30 dB, as above: the
+        # conditional chain loses more than the normal range in a rescale
+        # interval, which the pass steps again with a rescale per step
+        grid, transition = _phase_model(SIGMA_6DEG, 200)
+        rng = np.random.default_rng(5)
+        y = rng.standard_normal((500, 2)) + 1j * rng.standard_normal((500, 2))
+        symbols = qam_constellation(64).scaled_symbols(1e3, 2)
+        x = symbols[rng.integers(0, 64, (500, 2))]
+        rows = np.empty((500, 2, 200))
+        inforate._conditional_log_rows(y, x, grid, 2, rows[:, 0])
+        _mixture_log_rows_separable(y, symbols, grid, 2, rows[:, 1])
+        peak = np.max(rows, axis=2)
+        lik = np.exp(rows - peak[:, :, None])
+        norms = [self.per_step_filter(transition, lik[:, c]) for c in (0, 1)]
+        # rows 145-160 are the fifth rescale interval of the second row
+        # block (81 rows a block): they lose 713 nats
+        assert np.sum(norms[0][145:161]) < np.log(np.finfo(float).tiny)
+        cond, mix = (np.cumsum(norms[c] + peak[:, c])[-1] for c in (0, 1))
+        ratio = _forward_loglik(transition, rows)
+        assert abs(ratio - (cond - mix)) <= 1e-12 * abs(cond - mix)
 
     @staticmethod
     def qam_block_rows(m, snr_db, n=2000, q=200):
@@ -215,9 +242,12 @@ class TestForwardRecursion:
         assert _forward_loglik(transition, rows) == blocked
         assert calls == [2000]
 
-    @pytest.mark.parametrize("m, snr_db", [(1, 10.0), (2, 20.0), (2, 30.0)])
+    @pytest.mark.parametrize(
+        "m, snr_db", [(1, 10.0), (2, 20.0), (2, 30.0), (2, 60.0), (1, 120.0)]
+    )
     def test_ratio_equals_two_one_chain_passes(self, m, snr_db):
-        # the (2, Q) gemm against two (Q,) gemv chains changes rounding only
+        # the (2, Q) gemm against two (Q,) gemv chains changes rounding only,
+        # from the figures' 10-30 dB up to 120 dB
         transition, rows = self.qam_block_rows(m, snr_db)
         peak = np.max(rows, axis=2)
         cond, mix = (
@@ -233,7 +263,7 @@ class TestForwardRecursion:
     @pytest.mark.parametrize("chain", [0, 1], ids=["conditional", "mixture"])
     def test_a_row_without_a_finite_peak_raises(self, chain, monkeypatch):
         # a row of -inf in either chain, in the middle of a block of 100
-        # rows streamed 7 at a time, gives a NaN normalizer in its row block
+        # rows streamed 7 at a time, gives a NaN rescale mass in its row block
         _, transition = _phase_model(SIGMA_6DEG, 32)
         rows = np.random.default_rng(2).normal(size=(100, 2, 32))
         rows[40, chain] = -np.inf
@@ -243,6 +273,7 @@ class TestForwardRecursion:
             _forward_loglik(transition, rows)
 
     def test_stored_states_leave_the_normalizers_unchanged(self):
+        # the filter's normalizers are its power-of-two shifts
         _, transition = _phase_model(SIGMA_6DEG, 200)
         lik = np.exp(np.random.default_rng(5).normal(scale=3.0, size=(300, 200)))
         start = uniform_start(transition, lik)
@@ -265,13 +296,35 @@ class TestForwardRecursion:
             np.dot(np.divide(v, c, out=v), transition, out=state)
         return np.log(norms)
 
+    @staticmethod
+    def per_step_rescaled_filter(transition, lik, states):
+        """The filter as one (Q,) state stepped row by row and rescaled by a
+        power of two at every step; returns the summed exponents and the
+        final state. The reference for the (n, Q) path, whose rescales come
+        every RESCALE_STEPS steps: a power-of-two scaling is exact."""
+        state = np.full(transition.shape[0], 1.0 / transition.shape[0]) @ transition
+        shift = 0
+        for l, row in enumerate(lik):
+            states[l] = state
+            state = np.dot(state * row, transition)
+            _, e = np.frexp(state.sum())
+            state = np.ldexp(state, -e)
+            shift += int(e)
+        states /= states.sum(axis=1, keepdims=True)
+        return shift, state
+
     @pytest.mark.parametrize("scale", [0.1, 3.0, 30.0])
     def test_one_chain_equals_the_per_step_loop(self, scale):
+        # at scale 30 the rows overflow the first rescale interval, and the
+        # call steps again with a rescale per step
         _, transition = _phase_model(SIGMA_6DEG, 200)
         lik = np.exp(np.random.default_rng(5).normal(scale=scale, size=(2000, 200)))
         states, ref_states = np.empty_like(lik), np.empty_like(lik)
-        norms = _forward_filter(transition, lik, uniform_start(transition, lik), states)
-        assert np.array_equal(norms, self.per_step_filter(transition, lik, ref_states))
+        state = uniform_start(transition, lik)
+        shift = _forward_filter(transition, lik, state, states)
+        ref_shift, ref_state = self.per_step_rescaled_filter(transition, lik, ref_states)
+        assert shift == ref_shift
+        assert np.array_equal(state, ref_state)
         assert np.array_equal(states, ref_states)
 
     @pytest.mark.parametrize("snr_db", [10.0, 20.0, 30.0])
@@ -283,14 +336,13 @@ class TestForwardRecursion:
         u = np.stack([pilot_phases(snr, 1000, seed) for seed in range(4)], axis=1)
         lik = _pilot_likelihood(u, grid, snr)
         states = np.empty_like(lik)
-        norms = _forward_filter(transition, lik, uniform_start(transition, lik), states)
+        shift = _forward_filter(transition, lik, uniform_start(transition, lik), states)
         for b in range(4):
             one_states = np.empty_like(lik[:, b])
-            one_norms = _forward_filter(
+            one_shift = _forward_filter(
                 transition, lik[:, b], uniform_start(transition, lik[:, b]), one_states
             )
-            # a log normalizer's error is its normalizer's relative error
-            assert np.max(np.abs(norms[:, b] - one_norms)) < 1e-14
+            assert one_shift == shift[b]
             # densities far in the tails at 30 dB are subnormal or 0, where
             # the spacing of doubles is fixed
             normal = one_states >= np.finfo(float).tiny
@@ -298,25 +350,80 @@ class TestForwardRecursion:
             assert np.max(err[normal] / one_states[normal]) < 1e-14
             assert np.max(err[~normal], initial=0.0) <= np.finfo(float).tiny
 
+    @pytest.mark.parametrize("snr_db", [60.0, 90.0])
+    def test_pilot_rows_narrower_than_a_cell_match_the_per_step_filter(self, snr_db):
+        # a pilot density narrower than a cell loses hundreds of nats in a
+        # step, where it falls between cells: the rescale intervals leave
+        # the normal range and are stepped again with a rescale per step
+        snr = 10.0 ** (snr_db / 10.0)
+        grid, transition = _phase_model(SIGMA_6DEG, 200)
+        u = np.stack([pilot_phases(snr, 1000, seed) for seed in range(4)], axis=1)
+        lik = _pilot_likelihood(u, grid, snr)
+        states, state = np.empty_like(lik), uniform_start(transition, lik)
+        shift = _forward_filter(transition, lik, state, states)
+        ll = shift * np.log(2.0) + np.log(state.sum(axis=1))
+        for b in range(4):
+            one_states = np.empty_like(lik[:, b])
+            norms = self.per_step_filter(transition, lik[:, b], one_states)
+            intervals = np.add.reduceat(norms, np.arange(0, 1000, RESCALE_STEPS))
+            assert np.min(intervals) < np.log(np.finfo(float).tiny)
+            assert abs(ll[b] - np.sum(norms)) <= 1e-12 * abs(np.sum(norms))
+            # the stored densities differ in rounding only, each summing to 1
+            assert np.max(np.abs(states[:, b] - one_states)) < 1e-14
+
     def test_chunks_with_a_carried_state_equal_one_call(self):
         _, transition = _phase_model(SIGMA_6DEG, 64)
         lik = np.exp(np.random.default_rng(8).normal(scale=2.0, size=(300, 3, 64)))
         states, chunked = np.empty_like(lik), np.empty_like(lik)
-        norms = _forward_filter(transition, lik, uniform_start(transition, lik), states)
-        state = uniform_start(transition, lik)
+        state, carried = uniform_start(transition, lik), uniform_start(transition, lik)
+        shift = _forward_filter(transition, lik, state, states)
         parts = [
-            _forward_filter(transition, lik[lo : lo + 70], state, chunked[lo : lo + 70])
+            _forward_filter(transition, lik[lo : lo + 70], carried, chunked[lo : lo + 70])
             for lo in range(0, 300, 70)
         ]
-        assert np.array_equal(np.concatenate(parts), norms)
+        assert np.array_equal(sum(parts), shift)
+        assert np.array_equal(carried, state)
         assert np.array_equal(chunked, states)
+
+    def test_doubled_rows_add_one_to_the_shift_per_step(self):
+        # a factor 2 in every row is exact, and the rescales take it out whole
+        _, transition = _phase_model(SIGMA_6DEG, 64)
+        lik = np.exp(np.random.default_rng(8).normal(scale=2.0, size=(300, 3, 64)))
+        runs = []
+        for rows in (lik, 2.0 * lik):
+            state, states = uniform_start(transition, rows), np.empty_like(rows)
+            runs.append((_forward_filter(transition, rows, state, states), state, states))
+        (shift, state, states), (doubled_shift, doubled_state, doubled_states) = runs
+        assert np.array_equal(doubled_shift, shift + 300)
+        assert np.array_equal(doubled_state, state)
+        assert np.array_equal(doubled_states, states)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rows_that_overflow_between_rescales_are_stepped_again(self):
+        # a factor 2^90 in every row of one chain overflows the first
+        # rescale interval (16 * 90 ln 2 > 709 nats); the call steps again
+        # with a rescale per step, which takes the factor out whole, with no
+        # RuntimeWarning
+        _, transition = _phase_model(SIGMA_6DEG, 64)
+        lik = np.exp(np.random.default_rng(8).normal(scale=2.0, size=(300, 3, 64)))
+        scaled = lik.copy()
+        scaled[:, 1] *= 2.0**90
+        runs = []
+        for rows in (lik, scaled):
+            state, states = uniform_start(transition, rows), np.empty_like(rows)
+            runs.append((_forward_filter(transition, rows, state, states), state, states))
+        (shift, state, states), (scaled_shift, scaled_state, scaled_states) = runs
+        assert np.array_equal(scaled_shift, shift + [0, 90 * 300, 0])
+        assert np.array_equal(scaled_state, state)
+        assert np.array_equal(scaled_states, states)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "shape, zero", [((50, 32), (20,)), ((50, 3, 32), (20, 1))], ids=["one_chain", "one_of_three"]
     )
     def test_a_zero_row_raises(self, shape, zero):
-        # the check runs once, after the steps, with the same error
+        # the zero row fails its interval's rescale check, and then its own
+        # step in the second pass, with the same error
         _, transition = _phase_model(SIGMA_6DEG, 32)
         lik = np.ones(shape)
         lik[zero] = 0.0
