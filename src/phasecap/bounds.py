@@ -9,14 +9,12 @@ import numpy as np
 from scipy.special import gammaln
 
 from .entropy import (
-    LOG_2PI, BoundRecord, end_row, entropy_abs_sq, entropy_delta_plus_phase,
+    LN2, LOG_2PI, BoundRecord, end_row, entropy_abs_sq, entropy_delta_plus_phase,
     expect_log_noncentral,
 )
 from .errors import DomainError, OptimizationError
 from .inforate import adaptive_predictive_ensemble
 from .mathcore import wrapped_gaussian_entropy
-
-LN2 = float(np.log(2.0))
 
 
 def d_alpha(alpha, m):

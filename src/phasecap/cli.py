@@ -33,7 +33,7 @@ from .channel import (
     singular_value_bounds,
     wavelength_from_ghz,
 )
-from .entropy import MIN_N_SAMPLES, clear_tables
+from .entropy import LN2, MIN_N_SAMPLES, clear_tables
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -118,9 +118,10 @@ def _file_text(value):
 class ExperimentConfig:
     """Parsed sweep configuration. Each field declares where a config file
     sets it and how its value is parsed; the fields are in canonical order.
-    A config built directly is checked too: each field's parser reads the
-    value's file text, and the rules across fields hold. `parse_config`
-    alone reads the H file that nonunitary kinds name."""
+    A config built directly is checked too: each field keeps what its parser
+    reads from the value's file text, as a parsed file's does, and the rules
+    across fields hold. `parse_config` alone reads the H file that
+    nonunitary kinds name."""
 
     antennas: int = _option(1, "channel", _bounded(int, 1))
     sigma_delta_degrees: float = _option(6.0, "channel", _bounded(_finite_float, 0, strict=True))
@@ -143,9 +144,10 @@ class ExperimentConfig:
     def __post_init__(self):
         for f in fields(self):
             try:
-                f.metadata["parse"](_file_text(getattr(self, f.name)))
+                value = f.metadata["parse"](_file_text(getattr(self, f.name)))
             except ValueError as exc:
                 raise UsageError(f"bad value for {_file_key(f)!r}: {exc}") from exc
+            object.__setattr__(self, f.name, value)  # frozen
         if self.stop_db < self.start_db:
             raise UsageError("stop_db must be >= start_db")
         uses_pilots = any("past_window" in KINDS[k].fields for k in self.kinds)
@@ -463,7 +465,7 @@ def _cmd_spacing(args):
 
 def _cmd_gap(args):
     nats = bounds_mod.avg_peak_gap(args.antennas)
-    print(f"{nats:.6f} nats ({nats / np.log(2.0):.6f} bits)")
+    print(f"{nats:.6f} nats ({nats / LN2:.6f} bits)")
     return 0
 
 

@@ -24,6 +24,7 @@ from scipy import special
 from .errors import ConfigurationError, DomainError, NumericUnderflowError
 from .mathcore import TWO_PI, _gauss_legendre, _row_blocks
 
+LN2 = float(np.log(2.0))
 LOG_2PI = float(np.log(TWO_PI))
 
 # Fewest amplitude draws of the one-step entropy; the sweep config is checked against it.

@@ -67,6 +67,15 @@ class TestConfigParsing:
         # canonical form is a fixed point
         assert canonical_text(parse_config(canonical_text(config))) == canonical_text(config)
 
+    def test_a_direct_config_keys_its_rows_as_the_parsed_one(self):
+        # 6 and 6.0 are equal configs, so a config built with the int keys
+        # its rows and writes its text as the file's 6 does
+        direct = ExperimentConfig(sigma_delta_degrees=6, kinds=("U",))
+        parsed = parse_config("[channel]\nsigma_delta_degrees = 6\n[sweep]\nkinds = U\n")
+        assert direct == parsed
+        assert canonical_text(direct) == canonical_text(parsed)
+        assert row_cache_key(direct, "U", 20.0) == row_cache_key(parsed, "U", 20.0)
+
     def test_unknown_section(self):
         with pytest.raises(UsageError, match="line 1"):
             parse_config("[bogus]\nx = 1\n")

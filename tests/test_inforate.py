@@ -403,19 +403,23 @@ class TestForwardRecursion:
         # a factor 2^90 in every row of one chain overflows the first
         # rescale interval (16 * 90 ln 2 > 709 nats); the call steps again
         # with a rescale per step, which takes the factor out whole, with no
-        # RuntimeWarning
+        # RuntimeWarning. The 300 rows end in a 12-row interval, which
+        # overflows on its own when only its rows carry the factor
+        # (12 * 90 ln 2 > 709 nats)
         _, transition = _phase_model(SIGMA_6DEG, 64)
         lik = np.exp(np.random.default_rng(8).normal(scale=2.0, size=(300, 3, 64)))
-        scaled = lik.copy()
+        scaled, tail_scaled = lik.copy(), lik.copy()
         scaled[:, 1] *= 2.0**90
+        tail_scaled[288:, 1] *= 2.0**90
         runs = []
-        for rows in (lik, scaled):
+        for rows in (lik, scaled, tail_scaled):
             state, states = uniform_start(transition, rows), np.empty_like(rows)
             runs.append((_forward_filter(transition, rows, state, states), state, states))
-        (shift, state, states), (scaled_shift, scaled_state, scaled_states) = runs
-        assert np.array_equal(scaled_shift, shift + [0, 90 * 300, 0])
-        assert np.array_equal(scaled_state, state)
-        assert np.array_equal(scaled_states, states)
+        (shift, state, states), *scaled_runs = runs
+        for (scaled_shift, scaled_state, scaled_states), steps in zip(scaled_runs, (300, 12)):
+            assert np.array_equal(scaled_shift, shift + [0, 90 * steps, 0])
+            assert np.array_equal(scaled_state, state)
+            assert np.array_equal(scaled_states, states)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -539,6 +543,19 @@ class TestQamRate:
         est = qam_rate(p, qam_constellation(16), 64, block_length=300, n_blocks=2, seed=8)
         assert est.value_bits >= -3 * est.std_error_bits
         assert est.value_bits <= 2 * 4.0 + 3 * est.std_error_bits
+
+    def test_rate_loosens_past_the_grid(self):
+        # a lower bound at any SNR, E log q(y|x)/q(y) <= I(X;Y), but on the
+        # 200-level grid a vacuous one by 60 dB
+        rates = [
+            qam_rate(
+                ChannelParams(1, SIGMA_6DEG, 10.0 ** (snr_db / 10)),
+                qam_constellation(64), 200, block_length=400, n_blocks=2, seed=7,
+            ).value_bits
+            for snr_db in (40.0, 60.0)
+        ]
+        assert rates[0] > 5.9
+        assert rates[1] < 0.0
 
     def test_quantizer_doubling_stability(self):
         for snr_db in [15.0, 25.0]:
